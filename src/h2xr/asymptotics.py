@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericsError
 from .hyperbolic import HPoint, hyp_distance
@@ -142,31 +141,23 @@ def busemann_hessian_horizontal(L: float, x: ProductPoint,
     return busemann_hessian(L, x, step, s)[0:2, 0:2]
 
 
-def _disk_area_kappa(r, kappa: float):
-    """Area of the disk of radius r at constant curvature -kappa."""
-    rk = math.sqrt(kappa) * r
-    return 2.0 * math.pi * (math.cosh(rk) - 1.0) / kappa
-
-
 def ball_volume(L: float, R: float, kappa: float = 1.0) -> float:
     """Volume of the metric R-ball in the universal cover.
 
-    Slice integral of base-disk areas over the fiber displacement,
-    Vol = int_{-R}^{R} A(sqrt(R^2 - u^2)) du.  Independent of L, which
-    only rescales the fiber coordinate.
+    The slice integral of base-disk areas over the fiber displacement,
+    Vol = int_{-R}^{R} 2 pi (cosh(sqrt(kappa (R^2 - u^2))) - 1) / kappa du,
+    in closed form 2 pi^2 R L_1(sqrt(kappa) R) / kappa with L_1 the
+    modified Struve function.  Independent of L, which only rescales the
+    fiber coordinate.
     """
+    from scipy.special import modstruve
+
     _check_L(L)
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise DomainError(f"curvature scale must be > 0, got {kappa}")
     if R < 0.0 or not math.isfinite(R):
         raise DomainError(f"radius must be >= 0, got {R}")
-    if R == 0.0:
-        return 0.0
-    val, _ = quad(
-        lambda u: _disk_area_kappa(math.sqrt(max(R * R - u * u, 0.0)), kappa),
-        -R, R, epsabs=0.0, epsrel=1e-10, limit=400,
-    )
-    return float(val)
+    return 2.0 * math.pi ** 2 * R * float(modstruve(1, math.sqrt(kappa) * R)) / kappa
 
 
 def entropy_running(L: float, R: float, kappa: float = 1.0) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, invariants, jacobi
+from .errors import NumericsError
 from .geodesics import integrate_geodesic, speed_drift, unit_vector
 from .hyperbolic import HPoint, MobiusElement, hyp_distance
 from .metrics import ChartPoint, MetricSpec, curvature_at
@@ -109,7 +110,8 @@ def _warped_conjugate(seed):
     v0 = unit_vector(WARPED_SPEC, CENTER, [0, 0, 1])
     t_star = jacobi.first_conjugate_point(WARPED_SPEC, CENTER, v0, Tmax=10.0)
     if t_star is None:
-        raise RuntimeError("no conjugate point detected on the central geodesic")
+        raise NumericsError("no conjugate point detected on the central geodesic",
+                            Tmax=10.0)
     return t_star
 
 
@@ -267,8 +269,8 @@ TRANSLATION_LENGTH_TRACE3 = 2.0 * math.acosh(1.5)
 
 CLAIMS = (
     Claim("killing_vertical_geodesic", 0.0, 1e-12, _killing_vertical),
-    Claim("example1_sectional_curvatures", 0.0, 1e-6, _sectional_deviation),
-    Claim("example1_ricci", 0.0, 1e-6, _ricci_deviation),
+    Claim("example1_sectional_curvatures", 0.0, 1e-12, _sectional_deviation),
+    Claim("example1_ricci", 0.0, 1e-12, _ricci_deviation),
     Claim("example1_no_conjugate_points", 0.0, 0.0, _product_scan_detections),
     Claim("example2_conjugate_distance", 7.20, 0.005 * 7.20, _warped_conjugate),
     Claim("example2_oscillator_frequency", 0.436, 0.01 * 0.436, _warped_frequency),

@@ -18,18 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .metrics import (
-    ChartPoint,
-    MetricSpec,
-    _warp_radius_and_grad,
-    christoffel_many,
-    metric_many,
-)
+from .metrics import ChartPoint, MetricSpec, _fiber, metric_many
 
 DEFAULT_STEP = 1e-3
 Y_FLOOR = 1e-6
 UNIT_SPEED_TOL = 1e-9
-ADAPTIVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,54 +118,48 @@ def initial_frame(spec: MetricSpec, q: ChartPoint, v) -> tuple[np.ndarray, np.nd
     raise DomainError("degenerate initial frame")
 
 
-def _rhs(spec: MetricSpec, state: np.ndarray, nvec: int) -> np.ndarray:
-    """Batched derivative of (q, v, transported vectors).
+def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
+    """Derivative of (q, v, transported vectors): one state (dim,) or a batch (B, dim).
 
-    Product and Warped use fused closed-form contractions (the integrator
-    hot path); other kinds fall back to the generic Christoffel contraction.
+    Fused closed-form contractions of the warped-product connection: the
+    hyperbolic base block, plus the fiber coupling terms fed by (phi, dphi)
+    from the fiber kernel.  Product skips the coupling: its phi is constant.
+
+    Components are read through state.T: s[i] is a numpy scalar for one
+    state and a (B,) row for a batch, and the transported vectors' x, y, t
+    parts s[3::3], s[4::3], s[5::3] are (nvec,) or (nvec, B).  One
+    trajectory therefore costs scalar arithmetic, not 1-element array calls.
     """
-    B = state.shape[0]
-    q = state[:, 0:3]
-    w = np.ascontiguousarray(state[:, 3:]).reshape(B, nvec, 3)
+    s = state.T
     out = np.empty_like(state)
-    out[:, 0:3] = state[:, 3:6]
-    dw = np.empty((B, nvec, 3))
-
-    if spec.kind in ("Product", "Warped"):
-        inv_y = 1.0 / q[:, 1:2]
-        vx = state[:, 3:4]
-        vy = state[:, 4:5]
-        wx, wy = w[:, :, 0], w[:, :, 1]
-        # hyperbolic base block: -Gamma^x = (vx wy + vy wx)/y, etc.
-        dw[:, :, 0] = (vx * wy + vy * wx) * inv_y
-        dw[:, :, 1] = (vy * wy - vx * wx) * inv_y
-        dw[:, :, 2] = 0.0
-        if spec.kind == "Warped":
-            rho, drx, dry = _warp_radius_and_grad(spec.warp, q)
-            f, fp, _ = spec.warp.eval_many(rho)
-            dfx = (fp * drx)[:, None]
-            dfy = (fp * dry)[:, None]
-            vt = state[:, 5:6]
-            wt = w[:, :, 2]
-            fcol = f[:, None]
-            y2f = (q[:, 1] ** 2 * f)[:, None]
-            dw[:, :, 0] += y2f * dfx * (vt * wt)
-            dw[:, :, 1] += y2f * dfy * (vt * wt)
-            dw[:, :, 2] = -(dfx * (vx * wt + vt * wx) + dfy * (vy * wt + vt * wy)) / fcol
-        out[:, 3:] = dw.reshape(B, nvec * 3)
+    o = out.T
+    o[0:3] = s[3:6]
+    y = s[1]
+    vx, vy, vt = s[3], s[4], s[5]
+    wx, wy, wt = s[3::3], s[4::3], s[5::3]
+    inv_y = 1.0 / y
+    # hyperbolic base block: -Gamma^x = (vx wy + vy wx)/y, etc.
+    dwx = (vx * wy + vy * wx) * inv_y
+    dwy = (vy * wy - vx * wx) * inv_y
+    if spec.kind == "Product":
+        o[3::3] = dwx
+        o[4::3] = dwy
+        o[5::3] = 0.0
         return out
-
-    gam = christoffel_many(spec, q)
-    dw = -np.einsum("bkij,bi,bnj->bnk", gam, w[:, 0], w)
-    out[:, 3:] = dw.reshape(B, nvec * 3)
+    f, (dfx, dfy) = _fiber(spec, state[..., 0:3])
+    vtwt = vt * wt
+    y2f = y * y * f
+    o[3::3] = dwx + y2f * dfx * vtwt
+    o[4::3] = dwy + y2f * dfy * vtwt
+    o[5::3] = -(dfx * (vx * wt + vt * wx) + dfy * (vy * wt + vt * wy)) / f
     return out
 
 
-def _rk4_step(spec: MetricSpec, state: np.ndarray, h: float, nvec: int) -> np.ndarray:
-    k1 = _rhs(spec, state, nvec)
-    k2 = _rhs(spec, state + (0.5 * h) * k1, nvec)
-    k3 = _rhs(spec, state + (0.5 * h) * k2, nvec)
-    k4 = _rhs(spec, state + h * k3, nvec)
+def _rk4_step(spec: MetricSpec, state: np.ndarray, h: float) -> np.ndarray:
+    k1 = _rhs(spec, state)
+    k2 = _rhs(spec, state + (0.5 * h) * k1)
+    k3 = _rhs(spec, state + (0.5 * h) * k2)
+    k4 = _rhs(spec, state + h * k3)
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -211,22 +198,25 @@ def _integrate_batch(spec, q0s, v0s, T, step, with_frame):
     samples = np.empty((B, n_steps + 1, dim))
     samples[:, 0] = state
     active = np.ones(B, dtype=bool)
-    counts = np.full(B, 1, dtype=int)
+    counts = np.full(B, n_steps + 1)  # samples kept per row
 
     for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        if not np.any(active):
-            break
-        new = _rk4_step(spec, state, h, nvec)
-        if not np.all(np.isfinite(new[active])):
+        h = float(times[k + 1] - times[k])
+        # one trajectory steps as a single state vector (see _rhs)
+        new = _rk4_step(spec, state[0] if B == 1 else state, h).reshape(B, dim)
+        if not np.isfinite(new[active]).all():
             bad = np.where(active & ~np.all(np.isfinite(new), axis=1))[0]
             raise NumericsError("non-finite integrator state", rows=bad.tolist(), time=times[k])
-        crossed = new[:, 1] <= Y_FLOOR
-        stop = active & crossed
-        active = active & ~crossed
-        state = np.where(active[:, None], new, state)
-        samples[active, k + 1] = new[active]
-        counts[active] += 1
+        crossed = active & (new[:, 1] <= Y_FLOOR)
+        if crossed.any():
+            counts[crossed] = k + 1
+            active &= ~crossed
+            if not active.any():
+                break
+        if not active.all():
+            new = np.where(active[:, None], new, state)  # finished rows stay put
+        state = new
+        samples[:, k + 1] = new
 
     trajectories = []
     for b in range(B):
@@ -251,20 +241,15 @@ def _integrate_batch(spec, q0s, v0s, T, step, with_frame):
 
 
 def integrate_geodesic(spec: MetricSpec, q0: ChartPoint, v0, T: float,
-                       step: float = DEFAULT_STEP, frame: bool = True,
-                       adaptive: bool = False) -> Trajectory:
+                       step: float = DEFAULT_STEP, frame: bool = True) -> Trajectory:
     """Integrate one unit-speed geodesic from (q0, v0) for time T.
 
-    v0 must already be unit speed (use unit_vector to normalize).  The
-    default is the fixed-step method for reproducibility; adaptive=True
-    switches to step-doubling local-error control at ADAPTIVE_TOL.
+    v0 must already be unit speed (use unit_vector to normalize).
     """
     v0 = np.asarray(v0, dtype=float)
     PhaseState.checked(spec, q0, v0)
     if q0.y <= Y_FLOOR:
         raise DomainError(f"start point below the chart floor y = {Y_FLOOR}")
-    if adaptive:
-        return _integrate_adaptive(spec, q0, v0, T, step, frame)
     return _integrate_batch(spec, q0.as_array()[None, :], v0[None, :], T, step, frame)[0]
 
 
@@ -278,54 +263,6 @@ def integrate_geodesic_batch(spec: MetricSpec, q0s, v0s, T: float,
     if np.any(np.abs(speeds - 1.0) > UNIT_SPEED_TOL):
         raise DomainError("batch contains non-unit initial velocities")
     return _integrate_batch(spec, q0s, v0s, T, step, frame)
-
-
-def _integrate_adaptive(spec, q0, v0, T, step, with_frame):
-    nvec = 3 if with_frame else 1
-    state = np.empty((1, 3 + 3 * nvec))
-    state[0, 0:3] = q0.as_array()
-    state[0, 3:6] = v0
-    if with_frame:
-        e1, e2 = initial_frame(spec, q0, v0)
-        state[0, 6:9] = e1
-        state[0, 9:12] = e2
-
-    times = [0.0]
-    rows = [state[0].copy()]
-    t = 0.0
-    h = step
-    truncated = False
-    while t < T - 1e-14:
-        h = min(h, T - t)
-        full = _rk4_step(spec, state, h, nvec)
-        half = _rk4_step(spec, _rk4_step(spec, state, 0.5 * h, nvec), 0.5 * h, nvec)
-        err = float(np.max(np.abs(half - full))) / 15.0
-        scale = ADAPTIVE_TOL * (1.0 + float(np.max(np.abs(state))))
-        if err <= scale:
-            state = half + (half - full) / 15.0
-            t += h
-            if not np.all(np.isfinite(state)):
-                raise NumericsError("non-finite integrator state", time=t)
-            if state[0, 1] <= Y_FLOOR:
-                truncated = True
-                break
-            times.append(t)
-            rows.append(state[0].copy())
-        factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 2.0
-        h = h * min(2.0, max(0.2, factor))
-
-    arr = np.array(rows)
-    return Trajectory(
-        spec=spec,
-        times=np.array(times),
-        q=arr[:, 0:3],
-        v=arr[:, 3:6],
-        e1=arr[:, 6:9] if with_frame else None,
-        e2=arr[:, 9:12] if with_frame else None,
-        step=step,
-        T=float(times[-1]),
-        truncated=truncated,
-    )
 
 
 def parallel_frame(traj: Trajectory) -> Trajectory:

@@ -20,14 +20,7 @@ from .hyperbolic import (
     MobiusElement,
     translation_length,
 )
-from .metrics import (
-    MetricSpec,
-    christoffel_many,
-    fiber_scale_many,
-    metric_many,
-    r_v_operator_many,
-    volume_density_many,
-)
+from .metrics import MetricSpec, fiber, r_v_operator_many, volume_density_many
 
 MAX_WORD_LENGTH = 8
 DEDUP_TOL = 1e-9
@@ -311,30 +304,6 @@ class DeviationEstimate:
     n_samples: int
 
 
-def _vertical_gradient_sq(spec: MetricSpec, q: np.ndarray) -> np.ndarray:
-    """|nabla V|^2 for the unit vertical field, batched.
-
-    nabla_i V^k = d_i V^k + Gamma^k_{ij} V^j with V = d_t / sqrt(g_tt);
-    coefficient derivatives by y-scaled central differences.
-    """
-    f = fiber_scale_many(spec, q)
-    vk = np.zeros(q.shape[:-1] + (3,))
-    vk[..., 2] = 1.0 / f
-    dV = np.zeros(q.shape[:-1] + (3, 3))  # dV[..., i, k] = d_i V^k
-    h = 1e-6 * q[..., 1]
-    for m in range(3):
-        shift = np.zeros_like(q)
-        shift[..., m] = h
-        fm = (1.0 / fiber_scale_many(spec, q + shift)
-              - 1.0 / fiber_scale_many(spec, q - shift)) / (2.0 * h)
-        dV[..., m, 2] = fm
-    gam = christoffel_many(spec, q)
-    nab = dV + np.einsum("...kij,...j->...ik", gam, vk)
-    g = metric_many(spec, q)
-    ginv = np.linalg.inv(g)
-    return np.einsum("...ij,...kl,...ik,...jl->...", ginv, g, nab, nab)
-
-
 def curvature_deviation(spec: MetricSpec, box, n: int, seed: int) -> DeviationEstimate:
     """Monte Carlo integral of |R_V|^2 + |nabla V|^2 over a chart box.
 
@@ -354,7 +323,10 @@ def curvature_deviation(spec: MetricSpec, box, n: int, seed: int) -> DeviationEs
     ])
     rv = r_v_operator_many(spec, q)
     rv2 = np.einsum("bij,bij->b", rv, rv)
-    integrand = (rv2 + _vertical_gradient_sq(spec, q)) * volume_density_many(spec, q)
+    # |nabla V|^2 of the unit vertical field V = d_t / phi is |grad phi|^2 / phi^2
+    phi, (dphi_x, dphi_y) = fiber(spec, q)
+    grad_v2 = q[:, 1] ** 2 * (dphi_x * dphi_x + dphi_y * dphi_y) / (phi * phi)
+    integrand = (rv2 + grad_v2) * volume_density_many(spec, q)
     coord_vol = (x1 - x0) * (y1 - y0) * (t1 - t0)
     est = coord_vol * float(np.mean(integrand))
     se = coord_vol * float(np.std(integrand, ddof=1) / math.sqrt(n))

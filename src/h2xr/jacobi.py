@@ -32,7 +32,7 @@ from .metrics import (
     ChartPoint,
     MetricSpec,
     curvature_tensor_many,
-    fiber_scale_many,
+    fiber,
     metric_many,
     r_v_operator_many,
 )
@@ -82,7 +82,7 @@ def normal_curvature_samples(traj: Trajectory, slab: int = _RPERP_SLAB) -> np.nd
     out = np.empty((n, 2, 2))
     for lo in range(0, n, slab):
         hi = min(lo + slab, n)
-        r4, _ = curvature_tensor_many(traj.spec, traj.q[lo:hi])
+        r4 = curvature_tensor_many(traj.spec, traj.q[lo:hi])
         e = np.stack([traj.e1[lo:hi], traj.e2[lo:hi]], axis=1)  # (S, 2, 3)
         v = traj.v[lo:hi]
         t1 = np.einsum("sj,sl,sijkl->sik", v, v, r4, optimize=True)
@@ -381,17 +381,6 @@ class RiccatiAverage:
     values: np.ndarray
 
 
-def _fiber_gradient_norm(spec: MetricSpec, q: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """|grad of sqrt(g_tt)| estimated by central differences, batched."""
-    out = np.zeros(q.shape[:-1])
-    for m in range(2):
-        e = np.zeros(3)
-        e[m] = 1.0
-        d = (fiber_scale_many(spec, q + h * e) - fiber_scale_many(spec, q - h * e)) / (2 * h)
-        out = out + (q[..., 1] * d) ** 2  # orthonormal component: y * d_i f
-    return np.sqrt(out)
-
-
 def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
                     anchor: float = 20.0, step: float = 1e-2,
                     geodesic_tol: float = 1e-8) -> RiccatiAverage:
@@ -406,7 +395,8 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
     pts = np.array([sampler(rng) for _ in range(n)])
-    grad = _fiber_gradient_norm(spec, pts)
+    phi, (dphi_x, dphi_y) = fiber(spec, pts)
+    grad = pts[:, 1] * np.hypot(dphi_x, dphi_y)  # |grad phi|_g
     keep = grad <= geodesic_tol
     n_rej = int(n - keep.sum())
     if n_rej > 0.5 * n:
@@ -415,9 +405,8 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
             n_samples=n, n_rejected=n_rej,
         )
     pts = pts[keep]
-    scale = fiber_scale_many(spec, pts)
     v0 = np.zeros_like(pts)
-    v0[:, 2] = 1.0 / scale
+    v0[:, 2] = 1.0 / phi[keep]
 
     trajs = integrate_geodesic_batch(spec, pts, v0, anchor, step)
     nmax = max(t.n_samples for t in trajs)
@@ -593,7 +582,7 @@ def scan_conjugate_points(spec: MetricSpec, count: int, Tmax: float,
     Work is split into index chunks, each a pure function of
     (spec, indices, seed); chunks may run in a process pool and results
     are reassembled in index order, so the output is independent of the
-    worker count.
+    worker count.  The pool never exceeds the chunk count or the CPU count.
     """
     if count < 1:
         raise DomainError("scan needs at least one initial condition")
@@ -602,10 +591,11 @@ def scan_conjugate_points(spec: MetricSpec, count: int, Tmax: float,
         (spec, list(range(lo, min(lo + SCAN_CHUNK, count))), Tmax, step, seed, box)
         for lo in range(0, count, SCAN_CHUNK)
     ]
-    if workers <= 1 or len(chunks) == 1:
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_scan_chunk(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, chunks))
     rows = [r for chunk in results for r in chunk]
     rows.sort(key=lambda r: r.index)

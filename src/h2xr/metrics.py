@@ -8,11 +8,17 @@ y > 0 and t the fiber coordinate:
   Twisted  g = (dx^2 + dy^2)/y^2 + (1 + alpha h)^2 dt^2, h a registered
            potential; the first-order fiber shear generated by h
 
-Christoffel symbols are analytic for Product and Warped and generic
-central finite differences (one Richardson level) for Twisted.  The
-curvature tensor is always assembled from Christoffels with
-finite-difference derivatives, then projected onto its symmetry class;
-the pre-projection residual is kept as a quality metric.
+All three are the warped product H^2 x_phi R with phi = L, f(rho) or
+1 + alpha h, so the geometry is closed form in (phi, dphi, Hess phi)
+(O'Neill, Semi-Riemannian Geometry, ch. 7; Bishop & O'Neill 1969).  The
+fiber kernel `fiber` / `fiber_hessian` is the only code that knows how
+each kind builds phi; everything else reads from it:
+
+  Gamma^t_{it} = d_i phi / phi,  Gamma^i_{tt} = -phi y^2 d_i phi,
+  plus the hyperbolic base block;
+  R4 = the K = -1 base block, R4[a, t, b, t] = -phi Hess phi_ab, and
+  every component with one or three t indices zero;
+  R_V = -y^2 Hess phi / phi in the orthonormal horizontal frame.
 
 Index conventions, used consistently everywhere downstream:
 
@@ -30,13 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError
 from .hyperbolic import HPoint
 
 KINDS = ("Product", "Warped", "Twisted")
-
-CHRISTOFFEL_FD_STEP = 1e-5   # Twisted metric derivatives, with Richardson
-CURVATURE_FD_STEP = 1e-4     # dGamma central differences
 
 _ACOSH_CUT = 1e-8
 
@@ -99,7 +102,9 @@ class WarpProfile:
         r = np.asarray(r, dtype=float)
         dev = self.eps * (0.5 - r * r)        # quadratic cap minus 1
         ddev = -2.0 * self.eps * r
-        dddev = np.full_like(r, -2.0 * self.eps)
+        dddev = -2.0 * self.eps
+        if not (r > self.r0).any():           # all in the cap: w == 1, dw == 0
+            return 1.0 + dev, ddev, np.full_like(r, dddev)
 
         width = self.r1 - self.r0
         u = np.clip((r - self.r0) / width, 0.0, 1.0)
@@ -133,21 +138,24 @@ def warp_profile_eval(profile: WarpProfile, r: float):
 
 @dataclass(frozen=True)
 class Potential:
-    """Analytic potential h(x, y) with optional closed-form derivatives.
+    """Analytic potential h(x, y) with its closed-form derivatives.
 
-    grad returns coordinate partials (h_x, h_y); hess the covariant Hessian
-    in lowered coordinates.  Both are only needed by oracles and tests.
+    All three take coordinate arrays x, y of one shape.  fn returns h;
+    grad the coordinate partials (h_x, h_y), each shaped like x; hess the
+    covariant Hessian on H^2 in lowered coordinates, shape x.shape + (2, 2),
+    i.e. d_a d_b h - Gamma^c_ab d_c h with the hyperbolic Christoffels.
+    The Twisted geometry is built from grad and hess alone.
     """
 
     fn: object
-    grad: object = None
-    hess: object = None
+    grad: object
+    hess: object
 
 
 _POTENTIALS: dict[str, Potential] = {}
 
 
-def register_potential(name: str, fn, grad=None, hess=None) -> None:
+def register_potential(name: str, fn, grad, hess) -> None:
     _POTENTIALS[name] = Potential(fn, grad, hess)
 
 
@@ -245,36 +253,75 @@ def _check_points(q: np.ndarray) -> np.ndarray:
 
 
 def _warp_radius_and_grad(profile: WarpProfile, q: np.ndarray):
-    """Hyperbolic radius from the warp center and its coordinate partials."""
+    """Hyperbolic radius from the warp center and its coordinate partials.
+
+    Returns (rho, d_x rho, d_y rho); the partials are 0 at the center.
+    """
     cx, cy = profile.center.x, profile.center.y
     x, y = q[..., 0], q[..., 1]
     dx = x - cx
     dy = y - cy
     u = (dx * dx + dy * dy) / (2.0 * cy * y)
-    rho = np.where(
-        u < _ACOSH_CUT, np.sqrt(2.0 * u), np.log1p(u + np.sqrt(u * (u + 2.0)))
-    )
+    root = np.sqrt(u * (u + 2.0))
+    rho = np.where(u < _ACOSH_CUT, np.sqrt(2.0 * u), np.log1p(u + root))
     du_x = dx / (cy * y)
     du_y = dy / (cy * y) - u / y
-    root = np.sqrt(u * (u + 2.0))
     safe = root > 1e-30
     inv = np.where(safe, 1.0 / np.where(safe, root, 1.0), 0.0)
     return rho, du_x * inv, du_y * inv
 
 
-def fiber_scale_many(spec: MetricSpec, q) -> np.ndarray:
-    """sqrt(g_tt): L, the warp factor f, or the shear factor 1 + alpha h."""
+def _fiber(spec: MetricSpec, q: np.ndarray):
+    """fiber() on points already validated; the RK4 right-hand side calls this."""
+    if spec.kind == "Product":
+        zero = np.zeros(q.shape[:-1])
+        return np.full(q.shape[:-1], spec.L), (zero, zero)
+    if spec.kind == "Warped":
+        rho, drx, dry = _warp_radius_and_grad(spec.warp, q)
+        f, fp, _ = spec.warp.eval_many(rho)
+        return f, (fp * drx, fp * dry)
+    pot = get_potential(spec.potential)
+    x, y = q[..., 0], q[..., 1]
+    phi = 1.0 + spec.alpha * pot.fn(x, y)
+    if np.any(phi <= 0.0):
+        raise DomainError("shear factor 1 + alpha h reached zero in batch")
+    hx, hy = pot.grad(x, y)
+    return phi, (spec.alpha * hx, spec.alpha * hy)
+
+
+def fiber(spec: MetricSpec, q):
+    """(phi, (d_x phi, d_y phi)) for a batch of points, phi = sqrt(g_tt).
+
+    phi is L for Product, f(rho) for Warped and 1 + alpha h for Twisted;
+    the partials are coordinate partials, arrays shaped like phi.
+    """
+    return _fiber(spec, _check_points(q))
+
+
+def fiber_hessian(spec: MetricSpec, q) -> np.ndarray:
+    """Covariant Hessian of phi on H^2 in coordinates, shape (..., 2, 2).
+
+    Warped: Hess f(rho) = f'' drho drho + (f'/tanh rho)(g_H - drho drho),
+    using Hess rho = coth(rho) (g_H - drho drho); at the center f'/tanh rho
+    tends to f''(0) and the Hessian is f''(0) g_H.
+    """
     q = _check_points(q)
     if spec.kind == "Product":
-        return np.full(q.shape[:-1], spec.L)
-    if spec.kind == "Warped":
-        rho, _, _ = _warp_radius_and_grad(spec.warp, q)
-        return spec.warp.eval_many(rho)[0]
-    h = get_potential(spec.potential).fn(q[..., 0], q[..., 1])
-    f = 1.0 + spec.alpha * h
-    if np.any(f <= 0.0):
-        raise DomainError("shear factor 1 + alpha h reached zero in batch")
-    return f
+        return np.zeros(q.shape[:-1] + (2, 2))
+    if spec.kind == "Twisted":
+        hess = get_potential(spec.potential).hess(q[..., 0], q[..., 1])
+        return spec.alpha * np.asarray(hess, dtype=float)
+    rho, drx, dry = _warp_radius_and_grad(spec.warp, q)
+    _, fp, fpp = spec.warp.eval_many(rho)
+    th = np.tanh(rho)
+    angular = np.where(th > 0.0, fp / np.where(th > 0.0, th, 1.0), fpp)
+    radial = fpp - angular
+    g_h = angular / (q[..., 1] * q[..., 1])
+    hess = np.empty(q.shape[:-1] + (2, 2))
+    hess[..., 0, 0] = radial * drx * drx + g_h
+    hess[..., 0, 1] = hess[..., 1, 0] = radial * drx * dry
+    hess[..., 1, 1] = radial * dry * dry + g_h
+    return hess
 
 
 def metric_many(spec: MetricSpec, q) -> np.ndarray:
@@ -285,7 +332,7 @@ def metric_many(spec: MetricSpec, q) -> np.ndarray:
     inv_y2 = 1.0 / (y * y)
     g[..., 0, 0] = inv_y2
     g[..., 1, 1] = inv_y2
-    g[..., 2, 2] = fiber_scale_many(spec, q) ** 2
+    g[..., 2, 2] = _fiber(spec, q)[0] ** 2
     return g
 
 
@@ -297,7 +344,7 @@ def volume_density_many(spec: MetricSpec, q) -> np.ndarray:
     """sqrt(det g) in chart coordinates."""
     q = _check_points(q)
     y = q[..., 1]
-    return fiber_scale_many(spec, q) / (y * y)
+    return _fiber(spec, q)[0] / (y * y)
 
 
 def christoffel_many(spec: MetricSpec, q) -> np.ndarray:
@@ -311,60 +358,12 @@ def christoffel_many(spec: MetricSpec, q) -> np.ndarray:
     gam[..., 0, 1, 0] = -inv_y
     gam[..., 1, 0, 0] = inv_y
     gam[..., 1, 1, 1] = -inv_y
-
-    if spec.kind == "Product":
-        return gam
-
-    if spec.kind == "Warped":
-        rho, drho_x, drho_y = _warp_radius_and_grad(spec.warp, q)
-        f, fp, _ = spec.warp.eval_many(rho)
-        df = np.stack([fp * drho_x, fp * drho_y], axis=-1)
-        y2 = (y * y)[..., None]
-        gam[..., 2, 0:2, 2] = df / f[..., None]
-        gam[..., 2, 2, 0:2] = gam[..., 2, 0:2, 2]
-        gam[..., 0:2, 2, 2] = -f[..., None] * y2 * df
-        return gam
-
-    return _christoffel_fd(spec, q)
-
-
-def _fd_shift(q: np.ndarray, m: int, h: np.ndarray) -> np.ndarray:
-    out = q.copy()
-    out[..., m] = out[..., m] + h
-    return out
-
-
-def _christoffel_fd(spec: MetricSpec, q: np.ndarray) -> np.ndarray:
-    """Generic symbols from Richardson-extrapolated metric derivatives.
-
-    Steps scale with the local y so the relative accuracy is uniform
-    across the chart (the metric varies on the hyperbolic length scale,
-    which is ~y in coordinates).
-    """
-    ymin = float(np.min(q[..., 1]))
-    if ymin < 1e-12:
-        raise NumericsError(
-            "finite-difference step underflow near the chart boundary", y_min=ymin
-        )
-    h = CHRISTOFFEL_FD_STEP * q[..., 1]
-    g = metric_many(spec, q)
-    dg = np.empty(q.shape[:-1] + (3, 3, 3))  # dg[..., m, i, j] = d_m g_ij
-    for m in range(3):
-        d1 = (metric_many(spec, _fd_shift(q, m, h)) - metric_many(spec, _fd_shift(q, m, -h))) / (
-            2.0 * h[..., None, None]
-        )
-        d2 = (
-            metric_many(spec, _fd_shift(q, m, 0.5 * h))
-            - metric_many(spec, _fd_shift(q, m, -0.5 * h))
-        ) / h[..., None, None]
-        dg[..., m, :, :] = (4.0 * d2 - d1) / 3.0
-    ginv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    lower = 0.5 * (
-        np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg)
-        - np.einsum("...lij->...lij", dg)
-    )
-    return np.einsum("...kl,...lij->...kij", ginv, lower)
+    # fiber coupling: Gamma^t_{it} = d_i phi / phi, Gamma^i_{tt} = -phi y^2 d_i phi
+    phi, dphi = _fiber(spec, q)
+    for i in range(2):
+        gam[..., 2, i, 2] = gam[..., 2, 2, i] = dphi[i] / phi
+        gam[..., i, 2, 2] = -phi * y * y * dphi[i]
+    return gam
 
 
 def christoffel_at(spec: MetricSpec, p: ChartPoint) -> np.ndarray:
@@ -380,56 +379,38 @@ class CurvatureSample:
     """Lowered curvature tensor at a point plus derived summaries."""
 
     point: ChartPoint
-    riemann: np.ndarray                 # R4[i, j, k, l], symmetrized
+    riemann: np.ndarray                 # R4[i, j, k, l]
     sectionals: dict = field(default_factory=dict)
     ricci: np.ndarray | None = None
-    presym_residual: float = 0.0
 
 
-def _symmetry_project(r4: np.ndarray) -> np.ndarray:
-    """Project onto tensors with the algebraic curvature symmetries."""
-    t = r4
-    t = 0.5 * (t - np.swapaxes(t, -4, -3))                       # antisym (i, j)
-    t = 0.5 * (t - np.swapaxes(t, -2, -1))                       # antisym (k, l)
-    pair = np.moveaxis(t, (-4, -3, -2, -1), (-2, -1, -4, -3))    # (kl)(ij)
-    return 0.5 * (t + pair)
+def curvature_tensor_many(spec: MetricSpec, q) -> np.ndarray:
+    """Lowered curvature R4[..., i, j, k, l] = g(R(d_i, d_j) d_l, d_k) for a batch.
 
-
-def curvature_tensor_many(spec: MetricSpec, q, step: float = CURVATURE_FD_STEP):
-    """(R4, presym residual) for a batch of points.
-
-    R4[..., i, j, k, l] = g(R(d_i, d_j) d_l, d_k) with dGamma by central
-    finite differences of christoffel_many.
+    Closed form of the warped product: the hyperbolic block with K = -1,
+    the mixed block R4[a, t, b, t] = -phi Hess phi_ab with its symmetric
+    copies, and zero wherever one or three indices are t.
     """
     q = _check_points(q)
-    gam = christoffel_many(spec, q)
-    h = step * q[..., 1]  # y-scaled, see _christoffel_fd
-    dgam = np.empty(q.shape[:-1] + (3, 3, 3, 3))  # [..., m, k, i, j] = d_m Gamma^k_ij
-    for m in range(3):
-        dgam[..., m, :, :, :] = (
-            christoffel_many(spec, _fd_shift(q, m, h))
-            - christoffel_many(spec, _fd_shift(q, m, -h))
-        ) / (2.0 * h[..., None, None, None])
-    # R^m_{l i j} = d_i Gamma^m_jl - d_j Gamma^m_il
-    #              + Gamma^m_ia Gamma^a_jl - Gamma^m_ja Gamma^a_il
-    gg = np.einsum("...mia,...ajl->...mlij", gam, gam, optimize=True)
-    rup = (
-        np.moveaxis(dgam, (-4, -3, -2, -1), (-2, -4, -1, -3))
-        - np.moveaxis(dgam, (-4, -3, -2, -1), (-1, -4, -2, -3))
-        + gg
-        - np.moveaxis(gg, (-2, -1), (-1, -2))
-    )
-    g = metric_many(spec, q)
-    r4_raw = np.einsum("...km,...mlij->...ijkl", g, rup, optimize=True)
-    r4 = _symmetry_project(r4_raw)
-    residual = np.max(np.abs(r4_raw - r4), axis=(-4, -3, -2, -1))
-    return r4, residual
+    inv_y2 = 1.0 / (q[..., 1] * q[..., 1])
+    phi = _fiber(spec, q)[0]
+    r4 = np.zeros(q.shape[:-1] + (3, 3, 3, 3))
+    base = inv_y2 * inv_y2          # -K g_xx g_yy
+    r4[..., 0, 1, 0, 1] = -base
+    r4[..., 1, 0, 1, 0] = -base
+    r4[..., 0, 1, 1, 0] = base
+    r4[..., 1, 0, 0, 1] = base
+    mixed = -phi[..., None, None] * fiber_hessian(spec, q)
+    r4[..., 0:2, 2, 0:2, 2] = mixed
+    r4[..., 2, 0:2, 2, 0:2] = mixed
+    r4[..., 0:2, 2, 2, 0:2] = -mixed
+    r4[..., 2, 0:2, 0:2, 2] = -mixed
+    return r4
 
 
 def curvature_at(spec: MetricSpec, p: ChartPoint) -> CurvatureSample:
     q = p.as_array()[None, :]
-    r4, res = curvature_tensor_many(spec, q)
-    r4 = r4[0]
+    r4 = curvature_tensor_many(spec, q)[0]
     g = metric_at(spec, p)
     ginv = np.linalg.inv(g)
     sectionals = {}
@@ -437,13 +418,7 @@ def curvature_at(spec: MetricSpec, p: ChartPoint) -> CurvatureSample:
         denom = g[i, i] * g[j, j] - g[i, j] ** 2
         sectionals[(i, j)] = float(r4[i, j, i, j] / denom)
     ricci = np.einsum("il,ijlk->jk", ginv, r4)
-    return CurvatureSample(
-        point=p,
-        riemann=r4,
-        sectionals=sectionals,
-        ricci=ricci,
-        presym_residual=float(res[0]),
-    )
+    return CurvatureSample(point=p, riemann=r4, sectionals=sectionals, ricci=ricci)
 
 
 def bianchi_residual(r4: np.ndarray) -> float:
@@ -456,43 +431,17 @@ def bianchi_residual(r4: np.ndarray) -> float:
     return float(np.max(np.abs(cyc)))
 
 
-def _unit_vertical(g: np.ndarray) -> np.ndarray:
-    v = np.zeros(g.shape[:-2] + (3,))
-    v[..., 2] = 1.0 / np.sqrt(g[..., 2, 2])
-    return v
-
-
-def horizontal_frame(g: np.ndarray) -> np.ndarray:
-    """g-orthonormal basis (e_x-ish, e_y-ish) of the vertical complement.
-
-    Gram-Schmidt of the coordinate vectors d_x, d_y against the unit
-    vertical direction; shape (..., 2, 3).
-    """
-    v = _unit_vertical(g)
-    basis = []
-    prev = [v]
-    for m in range(2):
-        w = np.zeros(g.shape[:-2] + (3,))
-        w[..., m] = 1.0
-        for p in prev:
-            coef = np.einsum("...ij,...i,...j->...", g, w, p)
-            w = w - coef[..., None] * p
-        norm = np.sqrt(np.einsum("...ij,...i,...j->...", g, w, w))
-        w = w / norm[..., None]
-        prev.append(w)
-        basis.append(w)
-    return np.stack(basis, axis=-2)
-
-
 def r_v_operator_many(spec: MetricSpec, q) -> np.ndarray:
-    """Matrix of X -> R(X, V)V on the horizontal plane, orthonormal basis."""
+    """Matrix of X -> R(X, V)V on the horizontal plane, orthonormal basis.
+
+    With V = d_t / phi and the frame (y d_x, y d_y) this is
+    y^2 R4[a, t, b, t] / phi^2 = -y^2 Hess phi / phi.
+    """
     q = _check_points(q)
-    r4, _ = curvature_tensor_many(spec, q)
-    g = metric_many(spec, q)
-    v = _unit_vertical(g)
-    e = horizontal_frame(g)
-    m = np.einsum("...ai,...j,...bk,...l,...ijkl->...ab", e, v, e, v, r4)
-    return 0.5 * (m + np.swapaxes(m, -2, -1))
+    r4 = curvature_tensor_many(spec, q)
+    phi = _fiber(spec, q)[0]
+    scale = q[..., 1] * q[..., 1] / (phi * phi)
+    return scale[..., None, None] * r4[..., 0:2, 2, 0:2, 2]
 
 
 def r_v_operator(spec: MetricSpec, p: ChartPoint) -> np.ndarray:

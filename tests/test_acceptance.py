@@ -99,8 +99,8 @@ def test_criterion_03_product_curvature_table():
         g = np.diag([1.0 / p.y**2, 1.0 / p.y**2, 1.0])
         orth = cs.ricci / np.sqrt(np.outer(np.diag(g), np.diag(g)))
         worst_ric = max(worst_ric, float(np.max(np.abs(orth - target))))
-    assert worst_sec <= 1e-6
-    assert worst_ric <= 1e-6
+    assert worst_sec <= 1e-12
+    assert worst_ric <= 1e-12
     report(3, f"max sectional dev {worst_sec:.2e}, max Ricci dev {worst_ric:.2e}")
 
 

@@ -143,6 +143,20 @@ def test_ball_volume_small_radius_euclidean():
     assert ball_volume(1.0, r) == pytest.approx(4.0 / 3.0 * math.pi * r**3, rel=1e-2)
 
 
+def test_ball_volume_closed_form_matches_slice_quadrature():
+    # oracle: the slice integral of base-disk areas over the fiber displacement
+    from scipy.integrate import quad
+
+    worst = 0.0
+    for kappa in (0.5, 1.0, 2.0):
+        for R in (0.5, 1.0, 3.0, 10.0, 30.0):
+            def area(u):
+                return 2.0 * math.pi * (math.cosh(math.sqrt(kappa * (R * R - u * u))) - 1.0) / kappa
+            oracle, _ = quad(area, -R, R, epsabs=0.0, epsrel=1e-13, limit=400)
+            worst = max(worst, abs(ball_volume(1.0, R, kappa) / oracle - 1.0))
+    assert worst <= 1e-12
+
+
 def test_ball_volume_log_slope_approaches_one():
     v10, v14 = ball_volume(1.0, 10.0), ball_volume(1.0, 14.0)
     slope = (math.log(v14) - math.log(v10)) / 4.0

@@ -116,6 +116,16 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+def test_ledger_claim_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from h2xr import claims, jacobi
+
+    warped = next(c for c in claims.CLAIMS if c.claim_id == "example2_conjugate_distance")
+    monkeypatch.setattr(claims, "CLAIMS", (warped,))
+    monkeypatch.setattr(jacobi, "first_conjugate_point", lambda *args, **kwargs: None)
+    assert main(["ledger", "--out", str(tmp_path / "o")]) == 3
+    assert "no conjugate point" in capsys.readouterr().err
+
+
 def test_moduli_dim_run_and_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["moduli-dim", "--out", str(out)]) == 0

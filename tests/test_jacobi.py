@@ -137,6 +137,32 @@ def test_product_scan_no_detections_and_deterministic():
         assert a.det_min == b.det_min
 
 
+def test_scan_pool_capped_at_cpu_count(monkeypatch):
+    import h2xr.jacobi as jacobi_mod
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(jacobi_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(jacobi_mod, "SCAN_CHUNK", 1)
+    monkeypatch.setattr(jacobi_mod.os, "cpu_count", lambda: 2)
+    rows = scan_conjugate_points(PROD, count=3, Tmax=0.01, seed=0, workers=64)
+    assert sizes == [2]
+    assert [r.index for r in rows] == [0, 1, 2]
+
+
 def test_slanted_run_hits_simple_sign_change_root():
     # a nearly vertical direction splits the two Jacobi blocks, so det A
     # crosses zero with a sign change (unlike the exactly central run,

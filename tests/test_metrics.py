@@ -18,6 +18,7 @@ from h2xr.metrics import (
     metric_at,
     metric_many,
     r_v_operator,
+    r_v_operator_many,
     warp_profile_eval,
 )
 
@@ -181,24 +182,78 @@ def test_curvature_product_sectionals_and_ricci_seeded():
     for row in seeded_points(3, 50):
         p = ChartPoint(*row)
         cs = curvature_at(spec, p)
-        assert cs.sectionals[(0, 1)] == pytest.approx(-1.0, abs=1e-6)
-        assert cs.sectionals[(0, 2)] == pytest.approx(0.0, abs=1e-6)
-        assert cs.sectionals[(1, 2)] == pytest.approx(0.0, abs=1e-6)
+        assert cs.sectionals[(0, 1)] == pytest.approx(-1.0, abs=1e-12)
+        assert cs.sectionals[(0, 2)] == pytest.approx(0.0, abs=1e-12)
+        assert cs.sectionals[(1, 2)] == pytest.approx(0.0, abs=1e-12)
         g = metric_at(spec, p)
         orth = cs.ricci / np.sqrt(np.outer(np.diag(g), np.diag(g)))
-        assert np.allclose(orth, np.diag([-1.0, -1.0, 0.0]), atol=1e-6)
+        assert np.allclose(orth, np.diag([-1.0, -1.0, 0.0]), rtol=0.0, atol=1e-12)
 
 
 def test_curvature_symmetries_and_bianchi_all_kinds():
     for spec in (MetricSpec.product(1.0), WARP, MetricSpec.twisted(1e-2, "log_y")):
         pts = seeded_points(4, 25)
-        r4, presym = curvature_tensor_many(spec, pts)
-        assert np.max(np.abs(r4 + np.swapaxes(r4, 1, 2))) <= 1e-6
-        assert np.max(np.abs(r4 + np.swapaxes(r4, 3, 4))) <= 1e-6
+        r4 = curvature_tensor_many(spec, pts)
+        assert np.max(np.abs(r4 + np.swapaxes(r4, 1, 2))) <= 1e-12
+        assert np.max(np.abs(r4 + np.swapaxes(r4, 3, 4))) <= 1e-12
         pair = np.moveaxis(r4, (1, 2, 3, 4), (3, 4, 1, 2))
-        assert np.max(np.abs(r4 - pair)) <= 1e-6
-        assert bianchi_residual(r4) <= 1e-6
-        assert np.max(presym) <= 1e-6
+        assert np.max(np.abs(r4 - pair)) <= 1e-12
+        assert bianchi_residual(r4) <= 1e-12
+
+
+# Finite-difference oracle: central differences of the Christoffel symbols,
+# projected onto the curvature symmetries.  Steps scale with the local y, the
+# hyperbolic length scale in coordinates; inside the warp blend a 1e-4 step
+# leaves a truncation error of about 5e-6, a 1e-5 step about 5e-8.
+# christoffel_many itself is checked against the metric by
+# test_metric_compatibility_all_kinds.
+FD_CURVATURE_STEP = 1e-5
+
+
+def _shift(q, m, h):
+    out = q.copy()
+    out[:, m] += h
+    return out
+
+
+def _fd_curvature(spec, q):
+    gam = christoffel_many(spec, q)
+    h = FD_CURVATURE_STEP * q[:, 1]
+    dgam = np.empty((len(q), 3, 3, 3, 3))  # [:, m, k, i, j] = d_m Gamma^k_ij
+    for m in range(3):
+        dgam[:, m] = (christoffel_many(spec, _shift(q, m, h))
+                      - christoffel_many(spec, _shift(q, m, -h))) / (2.0 * h[:, None, None, None])
+    # R^m_{lij} = d_i Gamma^m_jl - d_j Gamma^m_il + Gamma^m_ia Gamma^a_jl - Gamma^m_ja Gamma^a_il
+    gg = np.einsum("bmia,bajl->bmlij", gam, gam)
+    rup = (np.einsum("bimjl->bmlij", dgam) - np.einsum("bjmil->bmlij", dgam)
+           + gg - np.swapaxes(gg, -2, -1))
+    t = np.einsum("bkm,bmlij->bijkl", metric_many(spec, q), rup)
+    t = 0.5 * (t - np.swapaxes(t, 1, 2))
+    t = 0.5 * (t - np.swapaxes(t, 3, 4))
+    return 0.5 * (t + np.moveaxis(t, (1, 2, 3, 4), (3, 4, 1, 2)))
+
+
+def _orthonormal(spec, q, r4):
+    s = 1.0 / np.sqrt(np.diagonal(metric_many(spec, q), axis1=1, axis2=2))
+    return r4 * np.einsum("bi,bj,bk,bl->bijkl", s, s, s, s)
+
+
+def test_closed_form_curvature_matches_finite_difference_oracle():
+    pts = seeded_points(9, 400, y_range=(0.5, 2.0))
+    prof = WARP.warp
+    u = (pts[:, 0] ** 2 + (pts[:, 1] - 1.0) ** 2) / (2.0 * pts[:, 1])
+    rho = np.arccosh(1.0 + u)
+    # the oracle's stencil reaches about 1e-5 in rho and the quintic
+    # blend's third derivative jumps at r0 and r1: keep the stencil more
+    # than 1e-3 away from both junctions
+    smooth = (np.abs(rho - prof.r0) > 1.2e-3) & (np.abs(rho - prof.r1) > 1.2e-3)
+    assert smooth.sum() > 350
+    q = pts[smooth]
+    for spec in (MetricSpec.product(1.7), WARP, MetricSpec.twisted(1e-2, "log_y"),
+                 MetricSpec.twisted(1e-2, "x")):
+        exact = _orthonormal(spec, q, curvature_tensor_many(spec, q))
+        oracle = _orthonormal(spec, q, _fd_curvature(spec, q))
+        assert np.max(np.abs(exact - oracle)) <= 1e-6, spec
 
 
 def test_curvature_warped_center_mixed_sectional():
@@ -217,10 +272,10 @@ def test_curvature_twisted_mixed_component():
 
 def test_curvature_twisted_converges_to_product_linearly():
     pts = seeded_points(5, 10)
-    r4_prod, _ = curvature_tensor_many(MetricSpec.product(1.0), pts)
+    r4_prod = curvature_tensor_many(MetricSpec.product(1.0), pts)
     errs = []
     for alpha in (1e-2, 1e-3, 1e-4):
-        r4, _ = curvature_tensor_many(MetricSpec.twisted(alpha, "log_y"), pts)
+        r4 = curvature_tensor_many(MetricSpec.twisted(alpha, "log_y"), pts)
         errs.append(float(np.max(np.abs(r4 - r4_prod))))
     assert errs[0] > errs[1] > errs[2]
     # O(alpha): successive ratios track the 10x amplitude steps
@@ -234,7 +289,7 @@ def test_curvature_twisted_converges_to_product_linearly():
 
 def test_r_v_product_zero():
     for row in seeded_points(6, 20):
-        assert np.max(np.abs(r_v_operator(MetricSpec.product(1.0), ChartPoint(*row)))) <= 1e-9
+        assert np.max(np.abs(r_v_operator(MetricSpec.product(1.0), ChartPoint(*row)))) <= 1e-12
 
 
 def test_r_v_warped_center_eigenvalue():
@@ -246,7 +301,20 @@ def test_r_v_warped_center_eigenvalue():
 
 def test_r_v_warped_outside_bump_zero():
     far = ChartPoint(3.0, 1.0, 0.0)  # hyperbolic distance from center > r1
-    assert np.max(np.abs(r_v_operator(WARP, far))) <= 1e-9
+    assert np.max(np.abs(r_v_operator(WARP, far))) <= 1e-12
+
+
+def test_r_v_warped_exact_at_blend_junction():
+    # within 1e-5 of rho = r0 a finite-difference stencil straddles the jump
+    # of the blend's third derivative; the closed form keeps the radial and
+    # angular eigenvalues -f''/f and -f' coth(rho)/f
+    prof = WARP.warp
+    for rho in (prof.r0 - 1e-5, prof.r0 + 1e-5):
+        q = np.array([[0.0, np.exp(rho), 0.0]])  # on the vertical through the center
+        f, fp, fpp = warp_profile_eval(prof, rho)
+        eig = np.linalg.eigvalsh(r_v_operator_many(WARP, q)[0])
+        expect = np.sort([-fpp / f, -fp / np.tanh(rho) / f])
+        assert eig == pytest.approx(expect, abs=1e-12)
 
 
 def test_spec_validation():
