@@ -35,7 +35,6 @@ from .geodesics import (
     PhaseState,
     Trajectory,
     integrate_geodesic,
-    parallel_frame,
     speed_drift,
     unit_vector,
 )

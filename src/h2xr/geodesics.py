@@ -50,15 +50,15 @@ class Trajectory:
 
     e3 of the frame is the tangent itself; e1, e2 span its normal bundle
     (for a horizontal run on the product: in-surface normal, then
-    vertical).  frame arrays are None when integrated without transport.
+    vertical).
     """
 
     spec: MetricSpec
     times: np.ndarray          # (N,)
     q: np.ndarray              # (N, 3)
     v: np.ndarray              # (N, 3)
-    e1: np.ndarray | None      # (N, 3)
-    e2: np.ndarray | None
+    e1: np.ndarray             # (N, 3)
+    e2: np.ndarray             # (N, 3)
     step: float
     T: float
     truncated: bool = False
@@ -66,10 +66,6 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return len(self.times)
-
-    @property
-    def has_frame(self) -> bool:
-        return self.e1 is not None
 
     def state(self, k: int) -> PhaseState:
         x, y, t = self.q[k]
@@ -163,8 +159,8 @@ def _rk4_step(spec: MetricSpec, state: np.ndarray, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_batch(spec, q0s, v0s, T, step, with_frame):
-    """Fixed-step batched integration; returns per-row sample arrays."""
+def _integrate_batch(spec, q0s, v0s, T, step):
+    """Fixed-step integration of a batch; returns per-row sample arrays."""
     if not (T > 0.0 and math.isfinite(T)):
         raise DomainError(f"total time must be > 0, got {T}")
     if not (step > 0.0 and math.isfinite(step)):
@@ -172,18 +168,16 @@ def _integrate_batch(spec, q0s, v0s, T, step, with_frame):
     q0s = np.asarray(q0s, dtype=float)
     v0s = np.asarray(v0s, dtype=float)
     B = q0s.shape[0]
-    nvec = 3 if with_frame else 1
-    dim = 3 + 3 * nvec
+    dim = 12
 
     state = np.empty((B, dim))
     state[:, 0:3] = q0s
     state[:, 3:6] = v0s
-    if with_frame:
-        for b in range(B):
-            x, y, t = q0s[b]
-            e1, e2 = initial_frame(spec, ChartPoint(float(x), float(y), float(t)), v0s[b])
-            state[b, 6:9] = e1
-            state[b, 9:12] = e2
+    for b in range(B):
+        x, y, t = q0s[b]
+        e1, e2 = initial_frame(spec, ChartPoint(float(x), float(y), float(t)), v0s[b])
+        state[b, 6:9] = e1
+        state[b, 9:12] = e2
 
     n_full = int(math.floor(T / step + 1e-9))
     rem = T - n_full * step
@@ -222,16 +216,14 @@ def _integrate_batch(spec, q0s, v0s, T, step, with_frame):
     for b in range(B):
         n = counts[b]
         trunc = n < n_steps + 1
-        e1 = samples[b, :n, 6:9].copy() if with_frame else None
-        e2 = samples[b, :n, 9:12].copy() if with_frame else None
         trajectories.append(
             Trajectory(
                 spec=spec,
                 times=times[:n].copy(),
                 q=samples[b, :n, 0:3].copy(),
                 v=samples[b, :n, 3:6].copy(),
-                e1=e1,
-                e2=e2,
+                e1=samples[b, :n, 6:9].copy(),
+                e2=samples[b, :n, 9:12].copy(),
                 step=step,
                 T=float(times[n - 1]),
                 truncated=bool(trunc),
@@ -241,7 +233,7 @@ def _integrate_batch(spec, q0s, v0s, T, step, with_frame):
 
 
 def integrate_geodesic(spec: MetricSpec, q0: ChartPoint, v0, T: float,
-                       step: float = DEFAULT_STEP, frame: bool = True) -> Trajectory:
+                       step: float = DEFAULT_STEP) -> Trajectory:
     """Integrate one unit-speed geodesic from (q0, v0) for time T.
 
     v0 must already be unit speed (use unit_vector to normalize).
@@ -250,11 +242,11 @@ def integrate_geodesic(spec: MetricSpec, q0: ChartPoint, v0, T: float,
     PhaseState.checked(spec, q0, v0)
     if q0.y <= Y_FLOOR:
         raise DomainError(f"start point below the chart floor y = {Y_FLOOR}")
-    return _integrate_batch(spec, q0.as_array()[None, :], v0[None, :], T, step, frame)[0]
+    return _integrate_batch(spec, q0.as_array()[None, :], v0[None, :], T, step)[0]
 
 
 def integrate_geodesic_batch(spec: MetricSpec, q0s, v0s, T: float,
-                             step: float = DEFAULT_STEP, frame: bool = True):
+                             step: float = DEFAULT_STEP):
     """Integrate many geodesics at once; returns a list of Trajectory."""
     q0s = np.asarray(q0s, dtype=float)
     v0s = np.asarray(v0s, dtype=float)
@@ -262,21 +254,7 @@ def integrate_geodesic_batch(spec: MetricSpec, q0s, v0s, T: float,
     speeds = np.einsum("bij,bi,bj->b", g, v0s, v0s)
     if np.any(np.abs(speeds - 1.0) > UNIT_SPEED_TOL):
         raise DomainError("batch contains non-unit initial velocities")
-    return _integrate_batch(spec, q0s, v0s, T, step, frame)
-
-
-def parallel_frame(traj: Trajectory) -> Trajectory:
-    """Return the trajectory with its parallel frame filled.
-
-    A trajectory integrated without the frame is re-run from its initial
-    data with transport switched on, so frame and geodesic are produced by
-    the same phase-locked integration.
-    """
-    if traj.has_frame:
-        return traj
-    x, y, t = traj.q[0]
-    q0 = ChartPoint(float(x), float(y), float(t))
-    return integrate_geodesic(traj.spec, q0, traj.v[0], traj.T, traj.step, frame=True)
+    return _integrate_batch(spec, q0s, v0s, T, step)
 
 
 def speed_drift(traj: Trajectory) -> float:
@@ -288,8 +266,6 @@ def speed_drift(traj: Trajectory) -> float:
 
 def frame_gram_error(traj: Trajectory) -> float:
     """max deviation of the (e1, e2, e3) Gram matrix from the identity."""
-    if not traj.has_frame:
-        raise DomainError("trajectory has no frame")
     g = metric_many(traj.spec, traj.q)
     vecs = np.stack([traj.e1, traj.e2, traj.v], axis=1)  # (N, 3, 3)
     gram = np.einsum("kij,kai,kbj->kab", g, vecs, vecs)

@@ -12,9 +12,12 @@ The stable Riccati tensor is built as the anchored limit: integrate
 U' = -U^2 - R_perp backward from U(T) = 0 and let the anchor grow;
 anchors T and 2T agreeing at t = 0 declares convergence.
 
-R_perp is evaluated at trajectory samples by querying the curvature
-tensor (vectorized in time slabs) and linearly interpolated between
-samples inside integrator stages.
+R_perp comes in closed form from the warped-product fiber kernel at the
+trajectory samples.  The RK4 stages between samples take it from
+four-point Lagrange interpolation on the nearest samples, which keeps
+both propagators fourth order.  Between samples, A(t) is the cubic
+Hermite interpolant of (A, A') at the two ends; root refinement runs on
+that dense output, with no re-integration.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .geodesics import Trajectory, integrate_geodesic_batch, parallel_frame
+from .geodesics import Trajectory, integrate_geodesic_batch
 from .metrics import (
     ChartPoint,
     MetricSpec,
-    curvature_tensor_many,
     fiber,
+    fiber_hessian,
     metric_many,
     r_v_operator_many,
 )
@@ -43,7 +46,8 @@ CONJUGATE_REFINE_TOL = 1e-8
 # refinement; scaled with the grid because a double root sampled at
 # distance h/2 reads about (h/2)^2
 _TANGENT_TRIGGER_FLOOR = 1e-8
-_RPERP_SLAB = 40000
+# steps whose midpoint R_perp is interpolated at once
+_MIDPOINT_SLAB = 1024
 SCAN_CHUNK = 32
 
 
@@ -74,46 +78,82 @@ class RiccatiRun:
     T_anchor: float
 
 
-def normal_curvature_samples(traj: Trajectory, slab: int = _RPERP_SLAB) -> np.ndarray:
-    """R_perp[a, b] = g(R(e_a, v) v, e_b) at every trajectory sample."""
-    if not traj.has_frame:
-        raise DomainError("trajectory has no parallel frame")
-    n = traj.n_samples
-    out = np.empty((n, 2, 2))
-    for lo in range(0, n, slab):
-        hi = min(lo + slab, n)
-        r4 = curvature_tensor_many(traj.spec, traj.q[lo:hi])
-        e = np.stack([traj.e1[lo:hi], traj.e2[lo:hi]], axis=1)  # (S, 2, 3)
-        v = traj.v[lo:hi]
-        t1 = np.einsum("sj,sl,sijkl->sik", v, v, r4, optimize=True)
-        out[lo:hi] = np.einsum("sai,sbk,sik->sab", e, e, t1, optimize=True)
-    return 0.5 * (out + np.swapaxes(out, -2, -1))
+def normal_curvature_samples(traj: Trajectory) -> np.ndarray:
+    """R_perp[a, b] = g(R(e_a, v) v, e_b) at every trajectory sample.
+
+    Warped-product closed form: with u, w_a the horizontal parts of v, e_a,
+    c_a = w_a x u and xi_a = v_t w_a - (e_a)_t u, the K = -1 base block
+    gives -c c^T / y^4 and the mixed block -phi Hess phi(xi, xi).
+    """
+    spec, q, v = traj.spec, traj.q, traj.v
+    e = np.stack([traj.e1, traj.e2], axis=1)                       # (N, 2, 3)
+    c = (e[:, :, 0] * v[:, 1:2] - e[:, :, 1] * v[:, 0:1]) / q[:, 1:2] ** 2
+    out = -(c[:, :, None] * c[:, None, :])
+    if spec.kind != "Product":
+        xi = v[:, None, 2:3] * e[:, :, 0:2] - e[:, :, 2:3] * v[:, None, 0:2]
+        hxx = xi @ fiber_hessian(spec, q) @ np.swapaxes(xi, 1, 2)
+        out -= fiber(spec, q)[0][:, None, None] * hxx
+    return out
 
 
-def _propagate_pair(times, rperp, A0, Ap0, k_from, k_to):
+def _midpoint_rperp(times, rperp, counts, lo, hi):
+    """R_perp at the midpoints of steps lo..hi-1, shape (B, hi - lo, 2, 2).
+
+    Four-point Lagrange interpolation on each row's nearest samples, the
+    stencil shifted inward at the row's ends, weights from the sample times
+    (the last step may be partial).  Rows of fewer than four samples take
+    the two-point mean; steps past a row's end see 0, like its padding.
+    """
+    mean = 0.5 * (rperp[:, lo:hi] + rperp[:, lo + 1:hi + 1])
+    if len(times) < 4:
+        return mean
+    k = np.arange(lo, hi)
+    nodes = np.clip(k - 1, 0, np.maximum(counts, 4)[:, None] - 4)[..., None] + np.arange(4)
+    tn = times[nodes]                                              # (B, S, 4)
+    d = 0.5 * (times[k] + times[k + 1])[:, None] - tn
+    rows = np.arange(len(counts))[:, None]
+    out = base = rperp[:, lo:hi]    # weights sum to 1: exact on constant R_perp
+    for i in range(4):
+        w = 1.0
+        for j in range(4):
+            if j != i:
+                w = w * (d[..., j] / (tn[..., i] - tn[..., j]))
+        out = out + w[..., None, None] * (rperp[rows, nodes[..., i]] - base)
+    out = np.where((counts < 4)[:, None, None, None], mean, out)
+    return np.where((k < counts[:, None] - 1)[..., None, None], out, 0.0)
+
+
+def _steps(times, rperp, counts, k_from, k_to):
+    """(k, k2, h, midpoint R_perp) per step from sample k_from to k_to, a slab at a time."""
+    if counts is None:
+        counts = np.full(rperp.shape[0], len(times))
+    direction = 1 if k_to >= k_from else -1
+    ks = range(k_from, k_to, direction)
+    for s0 in range(0, len(ks), _MIDPOINT_SLAB):
+        block = ks[s0:s0 + _MIDPOINT_SLAB]
+        lo = min(block[0], block[-1] + direction)
+        rm = _midpoint_rperp(times, rperp, counts, lo, lo + len(block))
+        for k in block:
+            k2 = k + direction
+            yield k, k2, times[k2] - times[k], rm[:, min(k, k2) - lo]
+
+
+def _propagate_pair(times, rperp, A0, Ap0, k_from, k_to, counts=None):
     """RK4 for (A, A') on the sample grid, in either time direction.
 
-    rperp may be (N, 2, 2) or batched (B, N, 2, 2); A0, Ap0 broadcast
-    accordingly.  Returns (A, Ap) sampled on indices between k_from and
-    k_to inclusive, laid out on the full grid axis.
+    rperp is (B, N, 2, 2), zero-padded past each row's counts if given;
+    A0, Ap0 broadcast to (B, 2, 2).  Returns (A, Ap) shaped like rperp,
+    filled on the indices between k_from and k_to inclusive.
     """
-    batched = rperp.ndim == 4
-    shape = (rperp.shape[0], len(times), 2, 2) if batched else (len(times), 2, 2)
-    A = np.full(shape, np.nan)
-    Ap = np.full(shape, np.nan)
-    idx = (slice(None), k_from) if batched else (k_from,)
-    A[idx] = A0
-    Ap[idx] = Ap0
-    a = np.broadcast_to(A0, shape[:-3] + (2, 2)).copy() if batched else np.array(A0, dtype=float)
-    ap = np.broadcast_to(Ap0, shape[:-3] + (2, 2)).copy() if batched else np.array(Ap0, dtype=float)
-
-    direction = 1 if k_to >= k_from else -1
-    for k in range(k_from, k_to, direction):
-        k2 = k + direction
-        h = times[k2] - times[k]
-        r0 = rperp[:, k] if batched else rperp[k]
-        r1 = rperp[:, k2] if batched else rperp[k2]
-        rm = 0.5 * (r0 + r1)
+    A = np.full(rperp.shape, np.nan)
+    Ap = np.full(rperp.shape, np.nan)
+    a = np.broadcast_to(A0, A[:, 0].shape).copy()
+    ap = np.broadcast_to(Ap0, A[:, 0].shape).copy()
+    A[:, k_from] = a
+    Ap[:, k_from] = ap
+    for k, k2, h, rm in _steps(times, rperp, counts, k_from, k_to):
+        r0 = rperp[:, k]
+        r1 = rperp[:, k2]
         k1a, k1p = ap, -(r0 @ a)
         a2 = a + (0.5 * h) * k1a
         k2a, k2p = ap + (0.5 * h) * k1p, -(rm @ a2)
@@ -123,113 +163,98 @@ def _propagate_pair(times, rperp, A0, Ap0, k_from, k_to):
         k4a, k4p = ap + h * k3p, -(r1 @ a4)
         a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         ap = ap + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        idx = (slice(None), k2) if batched else (k2,)
-        A[idx] = a
-        Ap[idx] = ap
+        A[:, k2] = a
+        Ap[:, k2] = ap
     return A, Ap
 
 
-def _pair_at(times, rperp, A_k, Ap_k, k0, t, nsub=8):
-    """(A, A') at an off-grid time t, integrating from sample k0."""
-    t0 = times[k0]
-    a = np.array(A_k, dtype=float)
-    ap = np.array(Ap_k, dtype=float)
-    if t == t0:
-        return a, ap
-    hs = np.linspace(t0, t, nsub + 1)
-
-    def r_of(tt):
-        k = np.searchsorted(times, tt) - 1
-        k = min(max(k, 0), len(times) - 2)
-        w = (tt - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * rperp[k] + w * rperp[k + 1]
-
-    for i in range(nsub):
-        h = hs[i + 1] - hs[i]
-        r0, rm, r1 = r_of(hs[i]), r_of(hs[i] + 0.5 * h), r_of(hs[i + 1])
-        k1a, k1p = ap, -(r0 @ a)
-        k2a, k2p = ap + 0.5 * h * k1p, -(rm @ (a + 0.5 * h * k1a))
-        k3a, k3p = ap + 0.5 * h * k2p, -(rm @ (a + 0.5 * h * k2a))
-        k4a, k4p = ap + h * k3p, -(r1 @ (a + h * k3a))
-        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        ap = ap + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return a, ap
+def _hermite(times, A, Ap, t):
+    """A(t) from the cubic Hermite interpolant of (A, A') on the sample interval holding t."""
+    k = min(max(int(np.searchsorted(times, t)) - 1, 0), len(times) - 2)
+    h = times[k + 1] - times[k]
+    s = (t - times[k]) / h
+    s2 = s * s
+    return (((2.0 * s - 3.0) * s2 + 1.0) * A[k] + ((3.0 - 2.0 * s) * s2) * A[k + 1]
+            + h * ((((s - 2.0) * s + 1.0) * s) * Ap[k] + ((s - 1.0) * s2) * Ap[k + 1]))
 
 
-def _detect_conjugates(times, rperp, A, Ap, step):
-    """Refined zeros of det A on (0, T], in increasing order."""
-    dets = np.linalg.det(A)
-    n = len(times)
+def _detect_conjugates(times, A, Ap, dets, step):
+    """Refined zeros of det A on (0, T], in increasing order.
+
+    Whole-row masks give the candidates (exact zeros, sign changes, strict
+    local minima of |det| below the trigger), tried in that order and
+    refined on the Hermite dense output; an accepted tangency skips k + 1.
+    """
     trigger = max(_TANGENT_TRIGGER_FLOOR, (5.0 * step) ** 2)
+    mag = np.abs(dets)
+    d0, d1 = dets[1:-1], dets[2:]
+    m0 = mag[1:-1]
+    mask = (d0 == 0.0) | (d0 * d1 < 0.0) | ((m0 < trigger) & (m0 < mag[:-2]) & (m0 <= mag[2:]))
     found = []
 
-    def det_at(t, k0):
-        a, _ = _pair_at(times, rperp, A[k0], Ap[k0], k0, t)
-        return float(np.linalg.det(a))
+    def det_at(t):
+        a = _hermite(times, A, Ap, t)
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
 
-    k = 1
-    while k < n - 1:
-        d0, d1 = dets[k], dets[k + 1]
-        if d0 == 0.0 and times[k] > 0.0:
-            found.append(float(times[k]))
-            k += 1
+    skip = -1
+    for k in np.flatnonzero(mask) + 1:
+        if k == skip:
             continue
-        if d0 * d1 < 0.0:
+        if dets[k] == 0.0:
+            found.append(float(times[k]))
+            continue
+        if dets[k] * dets[k + 1] < 0.0:
             lo, hi = times[k], times[k + 1]
-            flo = d0
+            flo = dets[k]
             while hi - lo > CONJUGATE_REFINE_TOL:
                 mid = 0.5 * (lo + hi)
-                fm = det_at(mid, k)
+                fm = det_at(mid)
                 if flo * fm <= 0.0:
                     hi = mid
                 else:
                     lo, flo = mid, fm
             found.append(0.5 * (lo + hi))
-            k += 1
             continue
-        # strict local minimum of |det| without sign change: tangency candidate
-        if 0 < k < n - 1 and abs(d0) < trigger and abs(d0) < abs(dets[k - 1]) and abs(d0) <= abs(d1):
-            lo, hi = times[k - 1], times[k + 1]
-            # golden-section search on |det|
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
-            a, b = lo, hi
-            c = b - phi * (b - a)
-            d = a + phi * (b - a)
-            fc, fd = abs(det_at(c, k - 1)), abs(det_at(d, k - 1))
-            while b - a > CONJUGATE_REFINE_TOL:
-                if fc < fd:
-                    b, d, fd = d, c, fc
-                    c = b - phi * (b - a)
-                    fc = abs(det_at(c, k - 1))
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + phi * (b - a)
-                    fd = abs(det_at(d, k - 1))
-            t_min = 0.5 * (a + b)
-            if abs(det_at(t_min, k - 1)) <= 1e-10:
-                found.append(t_min)
-                k += 2
-                continue
-        k += 1
+        # strict local minimum of |det| without sign change: golden-section search
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = times[k - 1], times[k + 1]
+        c = b - phi * (b - a)
+        d = a + phi * (b - a)
+        fc, fd = abs(det_at(c)), abs(det_at(d))
+        while b - a > CONJUGATE_REFINE_TOL:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - phi * (b - a)
+                fc = abs(det_at(c))
+            else:
+                a, c, fc = c, d, fd
+                d = a + phi * (b - a)
+                fd = abs(det_at(d))
+        t_min = 0.5 * (a + b)
+        if abs(det_at(t_min)) <= 1e-10:
+            found.append(t_min)
+            skip = k + 1
     return found
 
 
 def propagate_jacobi(traj: Trajectory, rperp: np.ndarray | None = None) -> JacobiRun:
     """Normal-bundle propagator with A(0) = 0, A'(0) = I, plus conjugates."""
-    traj = parallel_frame(traj)
     if rperp is None:
         rperp = normal_curvature_samples(traj)
-    A, Ap = _propagate_pair(traj.times, rperp, np.zeros((2, 2)), np.eye(2), 0, traj.n_samples - 1)
-    conj = _detect_conjugates(traj.times, rperp, A, Ap, traj.step)
+    A, Ap = _propagate_pair(traj.times, rperp[None], np.zeros((2, 2)), np.eye(2),
+                            0, traj.n_samples - 1)
+    A, Ap = A[0], Ap[0]
+    conj = _detect_conjugates(traj.times, A, Ap, np.linalg.det(A), traj.step)
     return JacobiRun(traj=traj, A=A, Ap=Ap, conjugates=conj)
 
 
 def companion_propagator(traj: Trajectory, rperp: np.ndarray | None = None):
     """Propagator with A(0) = I, A'(0) = 0 (fields with J(0) != 0)."""
-    traj = parallel_frame(traj)
     if rperp is None:
         rperp = normal_curvature_samples(traj)
-    return _propagate_pair(traj.times, rperp, np.eye(2), np.zeros((2, 2)), 0, traj.n_samples - 1)
+    A, Ap = _propagate_pair(traj.times, rperp[None], np.eye(2), np.zeros((2, 2)),
+                            0, traj.n_samples - 1)
+    return A[0], Ap[0]
 
 
 def wronskian_drift(run: JacobiRun) -> float:
@@ -254,18 +279,13 @@ def first_conjugate_point(spec: MetricSpec, q0: ChartPoint, v0, Tmax: float,
 # ---------------------------------------------------------------------------
 
 def _riccati_backward(times, rperp, k_anchor, blowup=RICCATI_BLOWUP):
-    """Integrate U' = -U^2 - R backward from U = 0 at sample k_anchor."""
-    batched = rperp.ndim == 4
-    shape = (rperp.shape[0], len(times), 2, 2) if batched else (len(times), 2, 2)
-    U = np.full(shape, np.nan)
-    u = np.zeros(shape[:-3] + (2, 2)) if batched else np.zeros((2, 2))
-    idx = (slice(None), k_anchor) if batched else (k_anchor,)
-    U[idx] = u
-    for k in range(k_anchor, 0, -1):
-        h = times[k - 1] - times[k]  # negative
-        r1 = rperp[:, k] if batched else rperp[k]
-        r0 = rperp[:, k - 1] if batched else rperp[k - 1]
-        rm = 0.5 * (r0 + r1)
+    """Integrate U' = -U^2 - R backward from U = 0 at sample k_anchor; rperp is (B, N, 2, 2)."""
+    U = np.full(rperp.shape, np.nan)
+    u = np.zeros(rperp.shape[:1] + (2, 2))
+    U[:, k_anchor] = u
+    for k, j, h, rm in _steps(times, rperp, None, k_anchor, 0):
+        r1 = rperp[:, k]
+        r0 = rperp[:, j]
         k1 = -(u @ u) - r1
         u2 = u + 0.5 * h * k1
         k2 = -(u2 @ u2) - rm
@@ -276,9 +296,8 @@ def _riccati_backward(times, rperp, k_anchor, blowup=RICCATI_BLOWUP):
         u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if np.max(np.abs(u)) > blowup or not np.all(np.isfinite(u)):
             raise NumericsError("focal blow-up in backward Riccati integration",
-                                time=float(times[k - 1]))
-        idx = (slice(None), k - 1) if batched else (k - 1,)
-        U[idx] = u
+                                time=float(times[j]))
+        U[:, j] = u
     return U
 
 
@@ -294,11 +313,10 @@ def _anchor_index(traj: Trajectory, T_anchor: float) -> int:
 def riccati_stable(traj: Trajectory, T_anchor: float,
                    rperp: np.ndarray | None = None) -> RiccatiRun:
     """Backward zero-anchored Riccati solution on [0, T_anchor]."""
-    traj = parallel_frame(traj)
     if rperp is None:
         rperp = normal_curvature_samples(traj)
     k = _anchor_index(traj, T_anchor)
-    U = _riccati_backward(traj.times, rperp, k)
+    U = _riccati_backward(traj.times, rperp[None], k)[0]
     return RiccatiRun(traj=traj, times=traj.times[: k + 1].copy(),
                       U=U[: k + 1], T_anchor=float(traj.times[k]))
 
@@ -308,7 +326,6 @@ def riccati_stable_limit(traj: Trajectory, T: float, tol: float = 1e-6):
 
     Returns (RiccatiRun at anchor 2T, agreement delta at t = 0).
     """
-    traj = parallel_frame(traj)
     if 2.0 * T > traj.T + 1e-12:
         raise DomainError(f"trajectory too short for anchor doubling: need T >= {2*T}")
     rperp = normal_curvature_samples(traj)
@@ -331,12 +348,11 @@ def riccati_from_jacobi(traj: Trajectory, T_anchor: float,
     so it serves as an independent check on the nonlinear integration.
     Entries where A is close to singular are returned as nan.
     """
-    traj = parallel_frame(traj)
     if rperp is None:
         rperp = normal_curvature_samples(traj)
     k = _anchor_index(traj, T_anchor)
-    A, Ap = _propagate_pair(traj.times, rperp, np.eye(2), np.zeros((2, 2)), k, 0)
-    A, Ap = A[: k + 1], Ap[: k + 1]
+    A, Ap = _propagate_pair(traj.times, rperp[None], np.eye(2), np.zeros((2, 2)), k, 0)
+    A, Ap = A[0, : k + 1], Ap[0, : k + 1]
     dets = np.linalg.det(A)
     U = np.full_like(A, np.nan)
     ok = np.abs(dets) > 1e-12
@@ -409,14 +425,11 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
     v0[:, 2] = 1.0 / phi[keep]
 
     trajs = integrate_geodesic_batch(spec, pts, v0, anchor, step)
-    nmax = max(t.n_samples for t in trajs)
-    times = trajs[0].times
-    rperp = np.zeros((len(trajs), nmax, 2, 2))
-    for b, t in enumerate(trajs):
-        if t.truncated or t.n_samples != nmax:
-            raise NumericsError("vertical geodesic left the chart", row=b)
-        rperp[b] = normal_curvature_samples(t)
-    U = _riccati_backward(times, rperp, nmax - 1)
+    cut = [b for b, t in enumerate(trajs) if t.truncated]
+    if cut:
+        raise NumericsError("vertical geodesic left the chart", row=cut[0])
+    rperp = np.stack([normal_curvature_samples(t) for t in trajs])
+    U = _riccati_backward(trajs[0].times, rperp, trajs[0].n_samples - 1)
     u0 = U[:, 0]
     rv = r_v_operator_many(spec, pts)
     values = np.einsum("bij,bji->b", u0, u0) + np.trace(rv, axis1=-2, axis2=-1)
@@ -537,21 +550,21 @@ def _scan_chunk(args):
     spec, indices, Tmax, step, seed, box = args
     q0s, v0s = _draw_initial_conditions(spec, indices, seed, box)
     trajs = integrate_geodesic_batch(spec, q0s, v0s, Tmax, step)
-    counts = [t.n_samples for t in trajs]
+    counts = np.array([t.n_samples for t in trajs])
     longest = trajs[int(np.argmax(counts))]
     grid = longest.times
     nmax = longest.n_samples
     # truncated runs are zero-padded past their end; the padded stretch of
-    # the batched propagation is sliced away before detection
+    # the propagation of the whole chunk is sliced away before detection
     rperp = np.zeros((len(trajs), nmax, 2, 2))
     for b, traj in enumerate(trajs):
         rperp[b, : counts[b]] = normal_curvature_samples(traj)
-    A, Ap = _propagate_pair(grid, rperp, np.zeros((2, 2)), np.eye(2), 0, nmax - 1)
+    A, Ap = _propagate_pair(grid, rperp, np.zeros((2, 2)), np.eye(2), 0, nmax - 1, counts)
     rows = []
     for b, traj in enumerate(trajs):
         n = counts[b]
-        conj = _detect_conjugates(grid[:n], rperp[b, :n], A[b, :n], Ap[b, :n], step)
         dets = np.linalg.det(A[b, :n])
+        conj = _detect_conjugates(grid[:n], A[b, :n], Ap[b, :n], dets, step)
         rows.append(ScanRow(
             index=indices[b],
             q0=q0s[b],

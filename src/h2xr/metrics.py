@@ -237,7 +237,7 @@ class MetricSpec:
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation helpers
+# evaluation helpers over arrays of points
 # ---------------------------------------------------------------------------
 
 def _check_points(q: np.ndarray) -> np.ndarray:

@@ -111,13 +111,13 @@ def test_criterion_04_jacobi_closed_forms_and_rauch():
     t = run.times[1:]
     rel_11 = np.max(np.abs(run.A[1:, 0, 0] - np.sinh(t)) / np.sinh(t))
     rel_22 = np.max(np.abs(run.A[1:, 1, 1] - t) / t)
-    assert rel_11 <= 1e-6
-    assert rel_22 <= 1e-6
+    assert rel_11 <= 1e-12
+    assert rel_22 <= 1e-12
 
     rep = rauch_check(run, k_min=-1.0)
     eq_gap = max(c.max_abs_margin_rel for c in rep.cases if c.jh0 == 0.0 or c.jv0 == 0.0)
-    assert eq_gap <= 1e-6
-    assert rep.max_violation <= 1e-6
+    assert eq_gap <= 1e-12
+    assert rep.max_violation <= 1e-12
     report(4, f"sinh/t rel dev ({rel_11:.2e}, {rel_22:.2e}), rauch equality gap {eq_gap:.2e}")
 
 
@@ -125,14 +125,18 @@ def test_criterion_05_stable_riccati():
     v0 = unit_vector(PROD, ORIGIN, [0, 1, 0])
     tr = integrate_geodesic(PROD, ORIGIN, v0, T=40.0, step=1e-3)
     run, delta = riccati_stable_limit(tr, T=20.0)
-    u0 = float(riccati_stable(tr, 20.0).U[0, 0, 0])
-    assert abs(u0 + 1.0) <= 1e-4
+    anchored = riccati_stable(tr, 20.0)
+    u0 = float(anchored.U[0, 0, 0])
+    assert abs(u0 + 1.0) <= 1e-12
     assert delta <= 1e-6
+    # closed form of the H^2 factor: U11(t) = -tanh(20 - t)
+    tanh_gap = float(np.max(np.abs(anchored.U[:, 0, 0] + np.tanh(20.0 - anchored.times))))
+    assert tanh_gap <= 1e-12
     tt, uj = riccati_from_jacobi(tr, 20.0)
-    consistency = float(np.nanmax(np.abs(uj - riccati_stable(tr, 20.0).U)))
-    assert consistency <= 1e-6
+    consistency = float(np.nanmax(np.abs(uj - anchored.U)))
+    assert consistency <= 1e-12
     report(5, f"U11(0) = {u0:.10f}, anchor-doubling delta {delta:.2e}, "
-              f"Riccati/Jacobi gap {consistency:.2e}")
+              f"tanh gap {tanh_gap:.2e}, Riccati/Jacobi gap {consistency:.2e}")
 
 
 def test_criterion_06_riccati_average_product():

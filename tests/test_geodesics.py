@@ -13,7 +13,6 @@ from h2xr.geodesics import (
     initial_frame,
     integrate_geodesic,
     integrate_geodesic_batch,
-    parallel_frame,
     speed_drift,
     unit_vector,
 )
@@ -130,16 +129,6 @@ def test_frame_ordering_horizontal_run():
     e1, e2 = initial_frame(PROD, ORIGIN, v0)
     assert e1 == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
     assert e2 == pytest.approx([0.0, 0.0, 1.0], abs=1e-14)
-
-
-def test_parallel_frame_fills_missing_frame():
-    v0 = unit_vector(PROD, ORIGIN, [1, 0, 0])
-    bare = integrate_geodesic(PROD, ORIGIN, v0, T=1.0, step=1e-3, frame=False)
-    assert not bare.has_frame
-    filled = parallel_frame(bare)
-    assert filled.has_frame
-    assert np.allclose(filled.q, bare.q)
-    assert frame_gram_error(filled) <= 1e-7
 
 
 def test_truncation_at_chart_floor():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from h2xr.errors import DomainError, NumericsError
-from h2xr.geodesics import integrate_geodesic, unit_vector
+from h2xr.geodesics import integrate_geodesic, integrate_geodesic_batch, unit_vector
 from h2xr.jacobi import (
+    DEFAULT_SCAN_BOX,
     BoxSampler,
     PointSampler,
     first_conjugate_point,
@@ -21,6 +22,10 @@ from h2xr.jacobi import (
     riccati_stable_limit,
     scan_conjugate_points,
     wronskian_drift,
+    _draw_initial_conditions,
+    _hermite,
+    _propagate_pair,
+    _scan_chunk,
 )
 from h2xr.metrics import ChartPoint, MetricSpec
 
@@ -54,10 +59,10 @@ def test_product_horizontal_propagator_closed_form():
     run = propagate_jacobi(horizontal_run(T=10.0))
     t = run.times[1:]
     expect_11 = np.sinh(t)
-    assert np.max(np.abs(run.A[1:, 0, 0] - expect_11) / expect_11) <= 1e-6
-    assert np.max(np.abs(run.A[1:, 1, 1] - t) / t) <= 1e-6
-    assert np.max(np.abs(run.A[:, 0, 1])) <= 1e-9
-    assert np.max(np.abs(run.A[:, 1, 0])) <= 1e-9
+    assert np.max(np.abs(run.A[1:, 0, 0] - expect_11) / expect_11) <= 1e-12
+    assert np.max(np.abs(run.A[1:, 1, 1] - t) / t) <= 1e-12
+    assert np.max(np.abs(run.A[:, 0, 1])) <= 1e-12
+    assert np.max(np.abs(run.A[:, 1, 0])) <= 1e-12
     assert run.conjugates == []
 
 
@@ -74,9 +79,9 @@ def test_product_vertical_propagator_linear():
 
 def test_wronskian_conserved():
     run = propagate_jacobi(horizontal_run(T=5.0))
-    assert wronskian_drift(run) <= 1e-6
+    assert wronskian_drift(run) <= 1e-12
     runw = propagate_jacobi(central_vertical_run(0.1, T=7.0))
-    assert wronskian_drift(runw) <= 1e-6
+    assert wronskian_drift(runw) <= 1e-12
 
 
 def test_warped_central_radial_block_is_sine():
@@ -84,8 +89,35 @@ def test_warped_central_radial_block_is_sine():
     run = propagate_jacobi(tr)
     t = run.times
     expect = np.sin(OMEGA_01 * t) / OMEGA_01
-    assert np.max(np.abs(run.A[:, 0, 0] - expect)) <= 1e-6
-    assert np.max(np.abs(run.A[:, 1, 1] - expect)) <= 1e-6
+    assert np.max(np.abs(run.A[:, 0, 0] - expect)) <= 1e-12
+    assert np.max(np.abs(run.A[:, 1, 1] - expect)) <= 1e-12
+
+
+def test_hermite_dense_output_between_samples():
+    # (sin(w t)/w) I on the central vertical run, read at the step midpoints
+    run = propagate_jacobi(central_vertical_run(0.1, T=7.0))
+    tm = 0.5 * (run.times[:-1] + run.times[1:])
+    dense = np.array([_hermite(run.times, run.A, run.Ap, t) for t in tm])
+    expect = np.sin(OMEGA_01 * tm) / OMEGA_01
+    assert np.max(np.abs(dense[:, 0, 0] - expect)) <= 1e-12
+    assert np.max(np.abs(np.linalg.det(dense) - expect * expect)) <= 1e-12
+
+
+def test_propagators_fourth_order_on_smooth_run():
+    # smooth Twisted run: successive step halvings must shrink the change
+    # of A(T) and of the anchored U(0) by about 16
+    spec = MetricSpec.twisted(0.3, "x")
+    q0 = ChartPoint(0.1, 0.9, 0.0)
+    v0 = unit_vector(spec, q0, [0.3, 0.2, 1.0])
+    a_end, u_start = [], []
+    for step in (8e-3, 4e-3, 2e-3, 1e-3):
+        tr = integrate_geodesic(spec, q0, v0, T=4.0, step=step)
+        a_end.append(propagate_jacobi(tr).A[-1])
+        u_start.append(riccati_stable(tr, 4.0).U[0])
+    for vals in (a_end, u_start):
+        diffs = [np.max(np.abs(vals[i] - vals[i + 1])) for i in range(3)]
+        assert diffs[0] / diffs[1] >= 12.0
+        assert diffs[1] / diffs[2] >= 12.0
 
 
 def test_warped_frequency_fit():
@@ -135,6 +167,37 @@ def test_product_scan_no_detections_and_deterministic():
         assert np.array_equal(a.q0, b.q0)
         assert np.array_equal(a.v0, b.v0)
         assert a.det_min == b.det_min
+
+
+@pytest.mark.parametrize("spec", [PROD, MetricSpec.warped(eps=0.1), MetricSpec.twisted(0.3, "x")],
+                         ids=["product", "warped", "twisted"])
+def test_scan_rows_match_single_trajectory_runs(spec):
+    indices, Tmax, step, seed = list(range(5)), 3.0, 2e-3, 4
+    rows = _scan_chunk((spec, indices, Tmax, step, seed, DEFAULT_SCAN_BOX))
+    q0s, v0s = _draw_initial_conditions(spec, indices, seed, DEFAULT_SCAN_BOX)
+    for row, q0, v0 in zip(rows, q0s, v0s):
+        tr = integrate_geodesic_batch(spec, q0[None], v0[None], Tmax, step)[0]
+        run = propagate_jacobi(tr)
+        assert row.det_min == float(np.min(run.dets()[1:]))
+        assert row.t_star == (run.conjugates[0] if run.conjugates else None)
+
+
+def test_truncated_rows_propagate_as_their_own_trajectories():
+    # rows cut at the chart floor are zero-padded in the chunk; the midpoint
+    # stencil must stay inside each row, so every row matches its own run
+    q0s, v0s = _draw_initial_conditions(PROD, list(range(5)), 4, DEFAULT_SCAN_BOX)
+    trajs = integrate_geodesic_batch(PROD, q0s, v0s, 20.0, 4e-3)
+    counts = np.array([t.n_samples for t in trajs])
+    assert counts.min() < counts.max()
+    rperp = np.zeros((len(trajs), counts.max(), 2, 2))
+    for b, tr in enumerate(trajs):
+        rperp[b, : counts[b]] = normal_curvature_samples(tr)
+    grid = trajs[int(np.argmax(counts))].times
+    A, Ap = _propagate_pair(grid, rperp, np.zeros((2, 2)), np.eye(2), 0, len(grid) - 1, counts)
+    for b, tr in enumerate(trajs):
+        run = propagate_jacobi(tr)
+        assert np.array_equal(A[b, : counts[b]], run.A)
+        assert np.array_equal(Ap[b, : counts[b]], run.Ap)
 
 
 def test_scan_pool_capped_at_cpu_count(monkeypatch):
