@@ -1,13 +1,21 @@
-"""Unit-speed geodesic integration with parallel frame transport.
+"""Unit-speed geodesics with parallel frame transport.
 
-The integrator is a classical fixed-step RK4 on the combined state
-(q, v, e1, e2); the frame is transported in the same step so geodesic and
-frame stay phase locked.  Batches of initial conditions integrate
-simultaneously as (B, 12) arrays, which is what makes the large scans in
-the conjugate-point module affordable.
+Product runs take the exact flow.  The fiber coordinate moves linearly,
+and the horizontal part is the H^2 geodesic M(i e^s), where the Mobius
+map M takes i to the start point and the upward direction to the
+start direction.  Parallel transport along i e^s is w -> e^s w, pushed
+forward by M', so the horizontal parts of v, e1 and e2 all turn by one
+complex factor and their fiber components stay constant.
 
-Trajectories approaching the chart boundary y <= Y_FLOOR are truncated
-and flagged rather than re-charted; non-finite states abort the run.
+Warped and Twisted runs use a classical fixed-step RK4 on the combined
+state (q, v, e1, e2); the frame is transported in the same step so
+geodesic and frame stay phase locked.  Batches of initial conditions
+integrate simultaneously as (B, 12) arrays, which is what makes the
+large scans in the conjugate-point module affordable.
+
+Either way the samples sit on the same time grid.  A trajectory is cut
+before its first sample with y <= Y_FLOOR and flagged rather than
+re-charted; non-finite states abort the run.
 """
 
 from __future__ import annotations
@@ -67,14 +75,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return len(self.times)
 
-    def state(self, k: int) -> PhaseState:
-        x, y, t = self.q[k]
-        return PhaseState(ChartPoint(float(x), float(y), float(t)), self.v[k].copy())
-
-    def csv_rows(self):
-        for k in range(self.n_samples):
-            yield (self.times[k], *self.q[k], *self.v[k])
-
 
 def unit_vector(spec: MetricSpec, q: ChartPoint, v) -> np.ndarray:
     """Normalize a coordinate vector to unit speed at q."""
@@ -119,7 +119,8 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
 
     Fused closed-form contractions of the warped-product connection: the
     hyperbolic base block, plus the fiber coupling terms fed by (phi, dphi)
-    from the fiber kernel.  Product skips the coupling: its phi is constant.
+    from the fiber kernel.  Only Warped and Twisted runs step through it;
+    Product runs take the exact flow of _product_row.
 
     Components are read through state.T: s[i] is a numpy scalar for one
     state and a (B,) row for a batch, and the transported vectors' x, y, t
@@ -137,11 +138,6 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
     # hyperbolic base block: -Gamma^x = (vx wy + vy wx)/y, etc.
     dwx = (vx * wy + vy * wx) * inv_y
     dwy = (vy * wy - vx * wx) * inv_y
-    if spec.kind == "Product":
-        o[3::3] = dwx
-        o[4::3] = dwy
-        o[5::3] = 0.0
-        return out
     f, (dfx, dfy) = _fiber(spec, state[..., 0:3])
     vtwt = vt * wt
     y2f = y * y * f
@@ -159,36 +155,10 @@ def _rk4_step(spec: MetricSpec, state: np.ndarray, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_batch(spec, q0s, v0s, T, step):
-    """Fixed-step integration of a batch; returns per-row sample arrays."""
-    if not (T > 0.0 and math.isfinite(T)):
-        raise DomainError(f"total time must be > 0, got {T}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise DomainError(f"step must be > 0, got {step}")
-    q0s = np.asarray(q0s, dtype=float)
-    v0s = np.asarray(v0s, dtype=float)
-    B = q0s.shape[0]
-    dim = 12
-
-    state = np.empty((B, dim))
-    state[:, 0:3] = q0s
-    state[:, 3:6] = v0s
-    for b in range(B):
-        x, y, t = q0s[b]
-        e1, e2 = initial_frame(spec, ChartPoint(float(x), float(y), float(t)), v0s[b])
-        state[b, 6:9] = e1
-        state[b, 9:12] = e2
-
-    n_full = int(math.floor(T / step + 1e-9))
-    rem = T - n_full * step
-    haves_partial = rem > 1e-12 * max(1.0, T)
-    n_steps = n_full + (1 if haves_partial else 0)
-
-    times = np.empty(n_steps + 1)
-    times[: n_full + 1] = np.arange(n_full + 1) * step
-    if haves_partial:
-        times[-1] = T
-
+def _rk4_rows(spec, state, times):
+    """RK4 through the sample times; returns (q, v, e1, e2) per row of state (B, 12)."""
+    B, dim = state.shape
+    n_steps = len(times) - 1
     samples = np.empty((B, n_steps + 1, dim))
     samples[:, 0] = state
     active = np.ones(B, dtype=bool)
@@ -212,24 +182,105 @@ def _integrate_batch(spec, q0s, v0s, T, step):
         state = new
         samples[:, k + 1] = new
 
-    trajectories = []
+    return [tuple(samples[b, :counts[b], i:i + 3].copy() for i in (0, 3, 6, 9))
+            for b in range(B)]
+
+
+# Product rows are filled this many samples at a time, so the temporaries
+# stay small next to the trajectory arrays themselves.
+_PRODUCT_SLAB = 8192
+
+
+def _product_row(row, state, times):
+    """Exact Product flow of one initial state (12,) at the sample times.
+
+    Returns (q, v, e1, e2), each (n, 3), where n is the index of the first
+    sample with y <= Y_FLOOR, or every sample when there is none.  With u
+    the horizontal velocity, d = u/|u| (upward when u = 0) and s = |u| t/y0,
+    the base point is M(i e^s): y = y0/D and x = x0 + y0 d_x sinh s/D, with
+    D = cosh s - d_y sinh s.  The horizontal part of every transported
+    vector, as a complex number, is multiplied by
+    E = (d_y + i d_x)/(c + i d_x), c = d_y cosh s - sinh s, |c + i d_x| = D.
+    """
+    x0, y0, t0, vx, vy, vt = (float(c) for c in state[:6])
+    speed = math.hypot(vx, vy)
+    dx, dy = (vx / speed, vy / speed) if speed > 0.0 else (0.0, 1.0)
+    # D = (cp e^s + cm e^-s)/2 with cp = 1 - d_y and cm = 1 + d_y; the
+    # smaller of the two comes from d_x^2 = cp cm, so nothing cancels
+    if dy > 0.0:
+        cp, cm = dx * dx / (1.0 + dy), 1.0 + dy
+    else:
+        cp, cm = 1.0 - dy, dx * dx / (1.0 - dy)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        es = np.exp((speed / y0) * times)
+        em = 1.0 / es
+        D = 0.5 * (cp * es + cm * em)
+        y = y0 / D
+    keep = (y > Y_FLOOR) & (y < math.inf)
+    keep[0] = True
+    n = len(times) if keep.all() else int(keep.argmin())
+    if n < len(times) and not math.isfinite(y[n]):
+        raise NumericsError("non-finite integrator state", rows=[row], time=times[n - 1])
+
+    q, v, e1, e2 = (np.empty((n, 3)) for _ in range(4))
+    vectors = ((v, vx, vy, vt), (e1, *state[6:9]), (e2, *state[9:12]))
+    for k0 in range(0, n, _PRODUCT_SLAB):
+        k = slice(k0, min(k0 + _PRODUCT_SLAB, n))
+        ek, mk, Dk = es[k], em[k], D[k]
+        q[k, 0] = x0 + (y0 * dx) * (0.5 * (ek - mk)) / Dk
+        q[k, 1] = y[k]
+        q[k, 2] = t0 + vt * times[k]
+        c = 0.5 * (cm * mk - cp * ek)
+        inv = 1.0 / (Dk * Dk)
+        er = (dy * c + dx * dx) * inv
+        ei = dx * (c - dy) * inv
+        for w, wx, wy, wt in vectors:
+            w[k, 0] = er * wx - ei * wy
+            w[k, 1] = er * wy + ei * wx
+            w[k, 2] = wt
+    # the flow at t = 0 is the identity, exactly
+    q[0], v[0], e1[0], e2[0] = state[0:3], state[3:6], state[6:9], state[9:12]
+    return q, v, e1, e2
+
+
+def _integrate_batch(spec, q0s, v0s, T, step):
+    """Integrate a batch on one sample grid; returns one Trajectory per row."""
+    if not (T > 0.0 and math.isfinite(T)):
+        raise DomainError(f"total time must be > 0, got {T}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise DomainError(f"step must be > 0, got {step}")
+    q0s = np.asarray(q0s, dtype=float)
+    v0s = np.asarray(v0s, dtype=float)
+    B = q0s.shape[0]
+
+    state = np.empty((B, 12))
+    state[:, 0:3] = q0s
+    state[:, 3:6] = v0s
     for b in range(B):
-        n = counts[b]
-        trunc = n < n_steps + 1
-        trajectories.append(
-            Trajectory(
-                spec=spec,
-                times=times[:n].copy(),
-                q=samples[b, :n, 0:3].copy(),
-                v=samples[b, :n, 3:6].copy(),
-                e1=samples[b, :n, 6:9].copy(),
-                e2=samples[b, :n, 9:12].copy(),
-                step=step,
-                T=float(times[n - 1]),
-                truncated=bool(trunc),
-            )
-        )
-    return trajectories
+        x, y, t = q0s[b]
+        e1, e2 = initial_frame(spec, ChartPoint(float(x), float(y), float(t)), v0s[b])
+        state[b, 6:9] = e1
+        state[b, 9:12] = e2
+
+    n_full = int(math.floor(T / step + 1e-9))
+    rem = T - n_full * step
+    haves_partial = rem > 1e-12 * max(1.0, T)
+    n_steps = n_full + (1 if haves_partial else 0)
+
+    times = np.empty(n_steps + 1)
+    times[: n_full + 1] = np.arange(n_full + 1) * step
+    if haves_partial:
+        times[-1] = T
+
+    if spec.kind == "Product":
+        rows = [_product_row(b, state[b], times) for b in range(B)]
+    else:
+        rows = _rk4_rows(spec, state, times)
+    return [
+        Trajectory(spec=spec, times=times[:len(q)], q=q, v=v, e1=e1, e2=e2, step=step,
+                   T=float(times[len(q) - 1]), truncated=len(q) < len(times))
+        for q, v, e1, e2 in rows
+    ]
 
 
 def integrate_geodesic(spec: MetricSpec, q0: ChartPoint, v0, T: float,

@@ -1,11 +1,16 @@
-"""Geodesic integration: exactness, order, frames, equivariance."""
+"""Geodesic integration: exactness, order, frames, equivariance.
+
+Product runs take the exact flow; the RK4 order checks run on a Twisted
+metric, whose geodesics still step through RK4.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from h2xr.errors import DomainError
+from h2xr import geodesics
+from h2xr.errors import DomainError, NumericsError
 from h2xr.hyperbolic import HPoint, MobiusElement, mobius_apply, mobius_apply_tangent
 from h2xr.geodesics import (
     PhaseState,
@@ -16,10 +21,12 @@ from h2xr.geodesics import (
     speed_drift,
     unit_vector,
 )
+from h2xr.jacobi import DEFAULT_SCAN_BOX, _draw_initial_conditions
 from h2xr.metrics import ChartPoint, MetricSpec, christoffel_many
 
 PROD = MetricSpec.product(1.0)
 WARP = MetricSpec.warped(eps=0.1)
+TWIST = MetricSpec.twisted(0.3, "x")  # smooth, non-product: RK4 order checks
 ORIGIN = ChartPoint(0.0, 1.0, 0.0)
 
 
@@ -35,7 +42,7 @@ def test_vertical_fiber_line_is_geodesic():
 def test_upward_surface_geodesic_exponential():
     v0 = unit_vector(PROD, ORIGIN, [0, 1, 0])
     tr = integrate_geodesic(PROD, ORIGIN, v0, T=1.0, step=1e-3)
-    assert tr.q[-1] == pytest.approx([0.0, math.e, 0.0], abs=1e-10)
+    assert tr.q[-1] == pytest.approx([0.0, math.e, 0.0], abs=1e-12)
 
 
 def test_warped_central_vertical_stays_at_center():
@@ -48,10 +55,11 @@ def test_warped_central_vertical_stays_at_center():
 def test_speed_drift_small_and_fourth_order():
     q0 = ChartPoint(0.2, 1.3, 0.0)
     v0 = unit_vector(PROD, q0, [1.0, 0.4, 0.6])
-    assert speed_drift(integrate_geodesic(PROD, q0, v0, T=10.0, step=1e-3)) <= 1e-8
-    # halving the step cuts the drift ~16x (measured above the roundoff floor)
-    d1 = speed_drift(integrate_geodesic(PROD, q0, v0, T=5.0, step=8e-3))
-    d2 = speed_drift(integrate_geodesic(PROD, q0, v0, T=5.0, step=4e-3))
+    assert speed_drift(integrate_geodesic(PROD, q0, v0, T=10.0, step=1e-3)) <= 1e-14
+    # RK4: halving the step cuts the drift ~16x (measured above the roundoff floor)
+    v0 = unit_vector(TWIST, q0, [1.0, 0.4, 0.6])
+    d1 = speed_drift(integrate_geodesic(TWIST, q0, v0, T=5.0, step=8e-3))
+    d2 = speed_drift(integrate_geodesic(TWIST, q0, v0, T=5.0, step=4e-3))
     assert d1 / d2 > 10.0
 
 
@@ -59,9 +67,9 @@ def test_endpoint_convergence_order():
     # three error levels, each from a halved step; steps chosen coarse
     # enough that truncation still dominates roundoff
     q0 = ChartPoint(0.0, 1.0, 0.0)
-    v0 = unit_vector(PROD, q0, [1.0, 0.3, 0.5])
+    v0 = unit_vector(TWIST, q0, [1.0, 0.3, 0.5])
     steps = [1.6e-2, 8e-3, 4e-3, 2e-3]
-    ends = [integrate_geodesic(PROD, q0, v0, T=2.0, step=h).q[-1] for h in steps]
+    ends = [integrate_geodesic(TWIST, q0, v0, T=2.0, step=h).q[-1] for h in steps]
     errs = [np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:])]
     for e0, e1 in zip(errs, errs[1:]):
         assert e0 / e1 >= 12.0
@@ -75,8 +83,8 @@ def test_reversibility():
     back = integrate_geodesic(
         PROD, ChartPoint(*qe), -fwd.v[-1], T=3.0, step=1e-3
     )
-    assert np.max(np.abs(back.q[-1] - q0.as_array())) <= 1e-6
-    assert np.max(np.abs(back.v[-1] + v0)) <= 1e-6
+    assert np.max(np.abs(back.q[-1] - q0.as_array())) <= 1e-12
+    assert np.max(np.abs(back.v[-1] + v0)) <= 1e-12
 
 
 def test_mobius_equivariance_product():
@@ -94,9 +102,9 @@ def test_mobius_equivariance_product():
 
     ze = HPoint(tr.q[-1, 0], tr.q[-1, 1])
     we = mobius_apply(m, ze)
-    assert trm.q[-1, 0] == pytest.approx(we.x, abs=1e-6)
-    assert trm.q[-1, 1] == pytest.approx(we.y, abs=1e-6)
-    assert trm.q[-1, 2] == pytest.approx(tr.q[-1, 2], abs=1e-9)
+    assert trm.q[-1, 0] == pytest.approx(we.x, abs=1e-12)
+    assert trm.q[-1, 1] == pytest.approx(we.y, abs=1e-12)
+    assert trm.q[-1, 2] == pytest.approx(tr.q[-1, 2], abs=1e-12)
 
 
 def test_frame_orthonormal_along_run():
@@ -139,6 +147,13 @@ def test_truncation_at_chart_floor():
     assert tr.truncated
     assert tr.T < 20.0
     assert np.min(tr.q[:, 1]) > 1e-6 * 0.9
+
+
+def test_product_overflow_is_a_numerics_error():
+    # straight up, y = e^t leaves the floating-point range near t = 709
+    v0 = unit_vector(PROD, ORIGIN, [0, 1, 0])
+    with pytest.raises(NumericsError, match="non-finite"):
+        integrate_geodesic(PROD, ORIGIN, v0, T=800.0, step=1.0)
 
 
 def test_unit_speed_validation():
@@ -185,3 +200,59 @@ def test_geodesic_equation_residual_locally_small():
         gam = christoffel_many(spec, tr.q[k][None, :])[0]
         acc = -np.einsum("kij,i,j->k", gam, tr.v[k], tr.v[k])
         assert np.max(np.abs(stencil - acc)) <= 1e-7, spec
+
+
+def test_product_flow_matches_rk4_engine():
+    # Twisted with alpha = 0 is the product metric stepped by RK4; the two
+    # engines agree to RK4's error (horizontal parts relative to y)
+    twin = MetricSpec.twisted(0.0, "x")
+    q0 = ChartPoint(0.2, 1.3, 0.1)
+    for direction in ((1, 0.3, 0.5), (0.2, -1, 0.1), (0, 1, 0.3), (-0.7, 0.2, -0.4)):
+        exact = integrate_geodesic(PROD, q0, unit_vector(PROD, q0, direction), T=5.0)
+        rk4 = integrate_geodesic(twin, q0, unit_vector(twin, q0, direction), T=5.0)
+        assert exact.n_samples == rk4.n_samples
+        y = exact.q[:, 1:2]
+        for field in ("q", "v", "e1", "e2"):
+            a, b = getattr(exact, field), getattr(rk4, field)
+            assert np.max(np.abs(a[:, :2] - b[:, :2]) / y) <= 1e-12, (direction, field)
+            assert np.max(np.abs(a[:, 2] - b[:, 2])) <= 1e-12, (direction, field)
+
+
+def test_product_rows_stay_on_their_geodesic_over_full_horizon():
+    # the first scan chunk (seed 0) at Tmax = 50: every sample lies on the
+    # H^2 geodesic of its start, in hyperbolic distance, until truncation
+    q0s, v0s = _draw_initial_conditions(PROD, list(range(32)), 0, DEFAULT_SCAN_BOX)
+    trajs = integrate_geodesic_batch(PROD, q0s, v0s, T=50.0, step=1e-3)
+    worst = 0.0
+    for (x0, y0, _), v0, tr in zip(q0s, v0s, trajs):
+        dx = v0[0] / math.hypot(v0[0], v0[1])
+        dy = v0[1] / math.hypot(v0[0], v0[1])
+        x, y = tr.q[:, 0], tr.q[:, 1]
+        if dx != 0.0:
+            c = x0 + y0 * dy / dx
+            r2 = (x0 - c) ** 2 + y0 ** 2
+            dist = np.arcsinh(np.abs((x - c) ** 2 + y ** 2 - r2) / (2 * math.sqrt(r2) * y))
+        else:
+            dist = np.arcsinh(np.abs(x - x0) / y)
+        worst = max(worst, float(np.max(dist)))
+    assert worst <= 1e-7
+
+
+def test_product_never_steps_rk4(monkeypatch):
+    def no_rk4(*args, **kwargs):
+        raise AssertionError("Product run stepped through the RK4 right-hand side")
+
+    monkeypatch.setattr(geodesics, "_rhs", no_rk4)
+    q0s = np.array([[0.0, 1.0, 0.0], [0.4, 1.5, 0.2], [-0.3, 0.7, 0.9]])
+    v0s = np.array([unit_vector(PROD, ChartPoint(*q), d)
+                    for q, d in zip(q0s, ([1, 0, 0.4], [0.2, 1, -0.3], [0, 0, 1]))])
+    trajs = integrate_geodesic_batch(PROD, q0s, v0s, T=1.0, step=1e-3)
+    assert [tr.n_samples for tr in trajs] == [1001] * 3
+
+
+def test_product_fiber_length_two_exact_invariants():
+    spec = MetricSpec.product(2.0)
+    q0 = ChartPoint(-0.3, 0.7, 0.4)
+    tr = integrate_geodesic(spec, q0, unit_vector(spec, q0, [0.4, -0.8, 0.6]), T=8.0)
+    assert speed_drift(tr) <= 1e-14
+    assert frame_gram_error(tr) <= 1e-14
