@@ -12,27 +12,20 @@ from .errors import DomainError, NumericsError
 from .hyperbolic import (
     HPoint,
     MobiusElement,
-    disk_area,
     hyp_distance,
     load_generators,
     mobius_apply,
     translation_length,
-    vertical_busemann,
 )
 from .metrics import (
     ChartPoint,
     CurvatureSample,
     MetricSpec,
     WarpProfile,
-    christoffel_at,
     curvature_at,
-    metric_at,
-    r_v_operator,
     register_potential,
-    warp_profile_eval,
 )
 from .geodesics import (
-    PhaseState,
     Trajectory,
     integrate_geodesic,
     speed_drift,
@@ -52,7 +45,6 @@ from .asymptotics import (
     ProductPoint,
     ball_volume,
     busemann_estimate,
-    busemann_hessian_horizontal,
     product_distance,
     volume_entropy,
 )

@@ -9,7 +9,7 @@ For this ray the Busemann limit of d(x, gamma(s)) - s is exactly -L t:
 the horizontal displacement contributes d_H2^2 / (2s) -> 0.  On the ray's
 axis the estimate is exact once s >= L t; off the axis it converges at
 rate O(1/s), which busemann_estimate exposes for diagnostics while the
-derivative checks use the limit function.
+derivative checks use the closed-form derivatives of the limit function.
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError
 from .hyperbolic import HPoint, hyp_distance
 from .metrics import ChartPoint, MetricSpec, christoffel_many
-
-HESSIAN_FD_STEP = 1e-4
-CONVERGED_S_MARGIN = 30.0
 
 
 @dataclass(frozen=True)
@@ -68,77 +65,17 @@ def busemann_limit(L: float, x: ProductPoint) -> float:
     return -L * x.t
 
 
-def busemann_converged_s(L: float, x: ProductPoint) -> float:
-    """Ray parameter beyond which estimates are treated as converged."""
-    return CONVERGED_S_MARGIN + abs(x.t) * L
+def busemann_derivatives(L: float, x: ProductPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate gradient and covariant Hessian of the limit -L t.
 
-
-def _busemann_callable(L: float, s: float | None):
-    if s is None:
-        return lambda q: -L * q[2]
-    return lambda q: busemann_estimate(L, ProductPoint(HPoint(q[0], q[1]), q[2]), s)
-
-
-def busemann_gradient(L: float, x: ProductPoint, step: float = HESSIAN_FD_STEP) -> np.ndarray:
-    """Central-difference coordinate gradient of the converged Busemann."""
-    _check_L(L)
-    b = _busemann_callable(L, None)
-    q0 = x.chart().as_array()
-    out = np.empty(3)
-    for m in range(3):
-        e = np.zeros(3)
-        e[m] = step
-        d1 = (b(q0 + e) - b(q0 - e)) / (2.0 * step)
-        d2 = (b(q0 + 0.5 * e) - b(q0 - 0.5 * e)) / step
-        out[m] = (4.0 * d2 - d1) / 3.0
-    return out
-
-
-def busemann_hessian(L: float, x: ProductPoint, step: float = HESSIAN_FD_STEP,
-                     s: float | None = None) -> np.ndarray:
-    """Covariant Hessian of the Busemann function, 3x3 in coordinates.
-
-    Second central differences with one Richardson level, minus the
-    connection term Gamma^k_ij d_k b.  s = None uses the converged limit;
-    a finite s below the convergence threshold is an accuracy error.
+    The limit is linear in the chart, so db = (0, 0, -L) and the Hessian
+    is the connection term alone, 0 - Gamma^k_ij d_k b.
     """
     _check_L(L)
-    if s is not None and s < busemann_converged_s(L, x):
-        raise NumericsError(
-            "Busemann estimate not converged at this ray parameter",
-            s=s, required=busemann_converged_s(L, x),
-        )
-    b = _busemann_callable(L, s)
-    q0 = x.chart().as_array()
-
-    def second(i, j, h):
-        ei = np.zeros(3)
-        ej = np.zeros(3)
-        ei[i] = h
-        ej[j] = h
-        if i == j:
-            return (b(q0 + ei) - 2.0 * b(q0) + b(q0 - ei)) / (h * h)
-        return (
-            b(q0 + ei + ej) - b(q0 + ei - ej) - b(q0 - ei + ej) + b(q0 - ei - ej)
-        ) / (4.0 * h * h)
-
-    hess = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            d1 = second(i, j, step)
-            d2 = second(i, j, 0.5 * step)
-            hess[i, j] = hess[j, i] = (4.0 * d2 - d1) / 3.0
-
-    grad = busemann_gradient(L, x, step)
-    gam = christoffel_many(MetricSpec.product(L), q0[None, :])[0]
-    return hess - np.einsum("kij,k->ij", gam, grad)
-
-
-def busemann_hessian_horizontal(L: float, x: ProductPoint,
-                                step: float = HESSIAN_FD_STEP,
-                                s: float | None = None) -> np.ndarray:
-    """Horizontal (x, y) block of the covariant Busemann Hessian."""
-    return busemann_hessian(L, x, step, s)[0:2, 0:2]
+    grad = np.array([0.0, 0.0, -L])
+    gam = christoffel_many(MetricSpec.product(L), x.chart().as_array()[None, :])[0]
+    # 0 - (...), not -(...): a zero entry stays +0.0 and never prints as -0.0
+    return grad, 0.0 - np.einsum("kij,k->ij", gam, grad)
 
 
 def ball_volume(L: float, R: float, kappa: float = 1.0) -> float:

@@ -171,8 +171,7 @@ def _run_busemann(cfg: JobConfig):
     x = asymptotics.ProductPoint(HPoint(p["q0_x"], p["q0_y"]), p["q0_t"])
     s_grid = np.linspace(1.0, p["s_max"], p["s_count"])
     table = [(s, asymptotics.busemann_estimate(L, x, s)) for s in s_grid]
-    hess = asymptotics.busemann_hessian(L, x)
-    grad = asymptotics.busemann_gradient(L, x)
+    grad, hess = asymptotics.busemann_derivatives(L, x)
     checks = [
         ("limit", asymptotics.busemann_limit(L, x)),
         ("hess_xx", hess[0, 0]),

@@ -22,10 +22,6 @@ def _positive(x):
     return x > 0.0 and math.isfinite(x)
 
 
-def _nonneg(x):
-    return x >= 0.0 and math.isfinite(x)
-
-
 # (type, default, predicate or None, description of the constraint)
 _METRIC_SCHEMA = {
     "kind": ("str", "Product", lambda s: s in KINDS, f"one of {KINDS}"),

@@ -13,9 +13,10 @@ geodesic and frame stay phase locked.  Batches of initial conditions
 integrate simultaneously as (B, 12) arrays, which is what makes the
 large scans in the conjugate-point module affordable.
 
-Either way the samples sit on the same time grid.  A trajectory is cut
-before its first sample with y <= Y_FLOOR and flagged rather than
-re-charted; non-finite states abort the run.
+Either way the samples sit on the same time grid.  A start at or below
+Y_FLOOR is rejected; a trajectory is cut before its first sample with
+y <= Y_FLOOR and flagged rather than re-charted; non-finite states
+abort the run.
 """
 
 from __future__ import annotations
@@ -31,25 +32,6 @@ from .metrics import ChartPoint, MetricSpec, _fiber, metric_many
 DEFAULT_STEP = 1e-3
 Y_FLOOR = 1e-6
 UNIT_SPEED_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Point plus unit coordinate velocity."""
-
-    q: ChartPoint
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-
-    @staticmethod
-    def checked(spec: MetricSpec, q: ChartPoint, v) -> "PhaseState":
-        v = np.asarray(v, dtype=float)
-        s = float(np.einsum("ij,i,j->", metric_many(spec, q.as_array()[None, :])[0], v, v))
-        if abs(s - 1.0) > UNIT_SPEED_TOL:
-            raise DomainError(f"velocity is not unit speed: g(v, v) = {s}")
-        return PhaseState(q, v)
 
 
 @dataclass(frozen=True)
@@ -244,13 +226,23 @@ def _product_row(row, state, times):
 
 
 def _integrate_batch(spec, q0s, v0s, T, step):
-    """Integrate a batch on one sample grid; returns one Trajectory per row."""
+    """Integrate a batch on one sample grid; returns one Trajectory per row.
+
+    Every row must start at unit speed and above Y_FLOOR.
+    """
     if not (T > 0.0 and math.isfinite(T)):
         raise DomainError(f"total time must be > 0, got {T}")
     if not (step > 0.0 and math.isfinite(step)):
         raise DomainError(f"step must be > 0, got {step}")
     q0s = np.asarray(q0s, dtype=float)
     v0s = np.asarray(v0s, dtype=float)
+    speeds = np.einsum("bij,bi,bj->b", metric_many(spec, q0s), v0s, v0s)
+    bad = np.flatnonzero(np.abs(speeds - 1.0) > UNIT_SPEED_TOL)
+    if len(bad):
+        raise DomainError(f"row {bad[0]}: velocity is not unit speed: g(v, v) = {speeds[bad[0]]}")
+    low = np.flatnonzero(q0s[:, 1] <= Y_FLOOR)
+    if len(low):
+        raise DomainError(f"row {low[0]}: start point below the chart floor y = {Y_FLOOR}")
     B = q0s.shape[0]
 
     state = np.empty((B, 12))
@@ -289,22 +281,13 @@ def integrate_geodesic(spec: MetricSpec, q0: ChartPoint, v0, T: float,
 
     v0 must already be unit speed (use unit_vector to normalize).
     """
-    v0 = np.asarray(v0, dtype=float)
-    PhaseState.checked(spec, q0, v0)
-    if q0.y <= Y_FLOOR:
-        raise DomainError(f"start point below the chart floor y = {Y_FLOOR}")
-    return _integrate_batch(spec, q0.as_array()[None, :], v0[None, :], T, step)[0]
+    return _integrate_batch(spec, q0.as_array()[None, :], np.asarray(v0, float)[None, :],
+                            T, step)[0]
 
 
 def integrate_geodesic_batch(spec: MetricSpec, q0s, v0s, T: float,
                              step: float = DEFAULT_STEP):
     """Integrate many geodesics at once; returns a list of Trajectory."""
-    q0s = np.asarray(q0s, dtype=float)
-    v0s = np.asarray(v0s, dtype=float)
-    g = metric_many(spec, q0s)
-    speeds = np.einsum("bij,bi,bj->b", g, v0s, v0s)
-    if np.any(np.abs(speeds - 1.0) > UNIT_SPEED_TOL):
-        raise DomainError("batch contains non-unit initial velocities")
     return _integrate_batch(spec, q0s, v0s, T, step)
 
 

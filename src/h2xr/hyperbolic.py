@@ -1,8 +1,7 @@
 """Exact upper half-plane geometry.
 
-Distances, Moebius actions, translation lengths, Busemann values of the
-upward vertical ray, and hyperbolic disk areas.  Everything here is closed
-form; the numerical modules treat these functions as ground truth.
+Distances, Moebius actions and translation lengths.  Everything here is
+closed form; the numerical modules treat these functions as ground truth.
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ UNIMODULAR_TOL = 1e-12
 # |trace| must clear 2 by this margin before we call an element hyperbolic;
 # values inside the band are rejected rather than classified heuristically.
 HYPERBOLIC_TRACE_MARGIN = 1e-12
-# below this the arccosh argument is close enough to 1 that the closed form
-# cancels catastrophically; switch to the leading series term sqrt(2u)
-_ACOSH_SERIES_CUT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,14 +70,12 @@ class MobiusElement:
 
 
 def arccosh_1p(u: float) -> float:
-    """arccosh(1 + u) for u >= 0, stable near u = 0."""
+    """arccosh(1 + u) for u >= 0, as log1p(u + sqrt(u (u + 2))): nothing cancels."""
     if u < 0.0:
         if u > -1e-14:  # clip negative rounding fuzz
             u = 0.0
         else:
             raise DomainError(f"arccosh argument below 1: 1 + {u}")
-    if u < _ACOSH_SERIES_CUT:
-        return math.sqrt(2.0 * u)
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
 
 
@@ -105,14 +99,6 @@ def mobius_apply(m: MobiusElement, p: HPoint) -> HPoint:
     return HPoint(z.real, z.imag)
 
 
-def mobius_apply_tangent(m: MobiusElement, p: HPoint, v: complex) -> complex:
-    """Differential of the Moebius action: v -> v / (cz + d)^2."""
-    w = m.c * p.z + m.d
-    if w == 0:
-        raise DomainError("point maps to infinity under this element")
-    return v / (w * w)
-
-
 def translation_length(m: MobiusElement) -> float:
     """Minimal displacement 2 arccosh(|tr|/2) of a hyperbolic element."""
     half_tr = abs(m.trace) / 2.0
@@ -121,21 +107,6 @@ def translation_length(m: MobiusElement) -> float:
             f"not hyperbolic: |trace| = {2.0 * half_tr} is not above 2"
         )
     return 2.0 * arccosh_1p(half_tr - 1.0)
-
-
-def vertical_busemann(p: HPoint) -> float:
-    """Busemann value of the unit-speed upward ray s -> i e^s.
-
-    Limit of hyp_distance(p, i e^s) - s as s -> infinity; equals -ln(y).
-    """
-    return -math.log(p.y)
-
-
-def disk_area(r: float) -> float:
-    """Area 2 pi (cosh r - 1) of the hyperbolic disk of radius r."""
-    if not math.isfinite(r) or r < 0.0:
-        raise DomainError(f"disk radius must be >= 0, got {r}")
-    return 2.0 * math.pi * (math.cosh(r) - 1.0)
 
 
 def load_generators(path) -> list[MobiusElement]:

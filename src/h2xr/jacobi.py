@@ -339,27 +339,6 @@ def riccati_stable_limit(traj: Trajectory, T: float, tol: float = 1e-6):
     return run2, delta
 
 
-def riccati_from_jacobi(traj: Trajectory, T_anchor: float,
-                        rperp: np.ndarray | None = None):
-    """U = A' A^{-1} from the anchored Jacobi solution A(T) = I, A'(T) = 0.
-
-    This linear route reproduces the zero-anchored Riccati solution
-    exactly (U(T) = A'(T) A(T)^{-1} = 0 and both satisfy the same flow),
-    so it serves as an independent check on the nonlinear integration.
-    Entries where A is close to singular are returned as nan.
-    """
-    if rperp is None:
-        rperp = normal_curvature_samples(traj)
-    k = _anchor_index(traj, T_anchor)
-    A, Ap = _propagate_pair(traj.times, rperp[None], np.eye(2), np.zeros((2, 2)), k, 0)
-    A, Ap = A[0, : k + 1], Ap[0, : k + 1]
-    dets = np.linalg.det(A)
-    U = np.full_like(A, np.nan)
-    ok = np.abs(dets) > 1e-12
-    U[ok] = Ap[ok] @ np.linalg.inv(A[ok])
-    return traj.times[: k + 1].copy(), U
-
-
 # ---------------------------------------------------------------------------
 # flow-averaged trace identity estimator
 # ---------------------------------------------------------------------------

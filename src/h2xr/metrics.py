@@ -41,8 +41,6 @@ from .hyperbolic import HPoint
 
 KINDS = ("Product", "Warped", "Twisted")
 
-_ACOSH_CUT = 1e-8
-
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -122,14 +120,6 @@ class WarpProfile:
         fp = np.where(outside, 0.0, fp)
         fpp = np.where(outside, 0.0, fpp)
         return f, fp, fpp
-
-
-def warp_profile_eval(profile: WarpProfile, r: float):
-    """(f, f', f'') of the profile at a single radius r >= 0."""
-    if r < 0.0 or not math.isfinite(r):
-        raise DomainError(f"radius must be >= 0, got {r}")
-    f, fp, fpp = profile.eval_many(np.array([r]))
-    return float(f[0]), float(fp[0]), float(fpp[0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +253,7 @@ def _warp_radius_and_grad(profile: WarpProfile, q: np.ndarray):
     dy = y - cy
     u = (dx * dx + dy * dy) / (2.0 * cy * y)
     root = np.sqrt(u * (u + 2.0))
-    rho = np.where(u < _ACOSH_CUT, np.sqrt(2.0 * u), np.log1p(u + root))
+    rho = np.log1p(u + root)
     du_x = dx / (cy * y)
     du_y = dy / (cy * y) - u / y
     safe = root > 1e-30
@@ -336,10 +326,6 @@ def metric_many(spec: MetricSpec, q) -> np.ndarray:
     return g
 
 
-def metric_at(spec: MetricSpec, p: ChartPoint) -> np.ndarray:
-    return metric_many(spec, p.as_array()[None, :])[0]
-
-
 def volume_density_many(spec: MetricSpec, q) -> np.ndarray:
     """sqrt(det g) in chart coordinates."""
     q = _check_points(q)
@@ -364,10 +350,6 @@ def christoffel_many(spec: MetricSpec, q) -> np.ndarray:
         gam[..., 2, i, 2] = gam[..., 2, 2, i] = dphi[i] / phi
         gam[..., i, 2, 2] = -phi * y * y * dphi[i]
     return gam
-
-
-def christoffel_at(spec: MetricSpec, p: ChartPoint) -> np.ndarray:
-    return christoffel_many(spec, p.as_array()[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +393,7 @@ def curvature_tensor_many(spec: MetricSpec, q) -> np.ndarray:
 def curvature_at(spec: MetricSpec, p: ChartPoint) -> CurvatureSample:
     q = p.as_array()[None, :]
     r4 = curvature_tensor_many(spec, q)[0]
-    g = metric_at(spec, p)
+    g = metric_many(spec, q)[0]
     ginv = np.linalg.inv(g)
     sectionals = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -421,28 +403,14 @@ def curvature_at(spec: MetricSpec, p: ChartPoint) -> CurvatureSample:
     return CurvatureSample(point=p, riemann=r4, sectionals=sectionals, ricci=ricci)
 
 
-def bianchi_residual(r4: np.ndarray) -> float:
-    """Max first-Bianchi residual of a lowered curvature tensor."""
-    # cyclic sum over the first three slots of Rm; Rm(i,j,k,l) = R4[i,j,l,k]
-    rm = np.swapaxes(r4, -2, -1)
-    cyc = rm + np.moveaxis(rm, (-4, -3, -2), (-2, -4, -3)) + np.moveaxis(
-        rm, (-4, -3, -2), (-3, -2, -4)
-    )
-    return float(np.max(np.abs(cyc)))
-
-
 def r_v_operator_many(spec: MetricSpec, q) -> np.ndarray:
     """Matrix of X -> R(X, V)V on the horizontal plane, orthonormal basis.
 
     With V = d_t / phi and the frame (y d_x, y d_y) this is
-    y^2 R4[a, t, b, t] / phi^2 = -y^2 Hess phi / phi.
+    y^2 R4[a, t, b, t] / phi^2 = -y^2 Hess phi / phi, read straight from
+    the fiber kernel rather than from the full R4.
     """
     q = _check_points(q)
-    r4 = curvature_tensor_many(spec, q)
     phi = _fiber(spec, q)[0]
     scale = q[..., 1] * q[..., 1] / (phi * phi)
-    return scale[..., None, None] * r4[..., 0:2, 2, 0:2, 2]
-
-
-def r_v_operator(spec: MetricSpec, p: ChartPoint) -> np.ndarray:
-    return r_v_operator_many(spec, p.as_array()[None, :])[0]
+    return scale[..., None, None] * (-phi[..., None, None] * fiber_hessian(spec, q))

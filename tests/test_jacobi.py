@@ -17,7 +17,6 @@ from h2xr.jacobi import (
     propagate_jacobi,
     rauch_check,
     riccati_average,
-    riccati_from_jacobi,
     riccati_stable,
     riccati_stable_limit,
     scan_conjugate_points,
@@ -27,7 +26,8 @@ from h2xr.jacobi import (
     _propagate_pair,
     _scan_chunk,
 )
-from h2xr.metrics import ChartPoint, MetricSpec
+from h2xr.metrics import ChartPoint, MetricSpec, r_v_operator_many
+from oracles import riccati_from_jacobi
 
 PROD = MetricSpec.product(1.0)
 ORIGIN = ChartPoint(0.0, 1.0, 0.0)
@@ -167,6 +167,13 @@ def test_product_scan_no_detections_and_deterministic():
         assert np.array_equal(a.q0, b.q0)
         assert np.array_equal(a.v0, b.v0)
         assert a.det_min == b.det_min
+
+
+def test_scan_rejects_starts_below_the_chart_floor():
+    # every row of a scan is checked: an error, not rows of det_min = 0
+    box = BoxSampler(y=(1e-8, 1e-7))
+    with pytest.raises(DomainError, match="chart floor"):
+        scan_conjugate_points(PROD, count=2, Tmax=1.0, seed=0, workers=1, box=box)
 
 
 @pytest.mark.parametrize("spec", [PROD, MetricSpec.warped(eps=0.1), MetricSpec.twisted(0.3, "x")],
@@ -369,10 +376,8 @@ def test_conjugate_list_increasing_multiple_zeros():
 def test_positive_rv_pairs_with_conjugate_point():
     # contrapositive witness: a positive R_V eigenvalue at the bump center
     # coexists with a detected conjugate point on the same vertical
-    from h2xr.metrics import r_v_operator
-
     spec = MetricSpec.warped(eps=0.1)
-    eigs = np.linalg.eigvalsh(r_v_operator(spec, ORIGIN))
+    eigs = np.linalg.eigvalsh(r_v_operator_many(spec, ORIGIN.as_array()[None])[0])
     assert eigs.max() > 0.0
     v0 = unit_vector(spec, ORIGIN, [0, 0, 1])
     assert first_conjugate_point(spec, ORIGIN, v0, Tmax=10.0) is not None

@@ -9,23 +9,25 @@ from h2xr.metrics import (
     ChartPoint,
     MetricSpec,
     WarpProfile,
-    bianchi_residual,
-    christoffel_at,
+    _warp_radius_and_grad,
     christoffel_many,
     curvature_at,
     curvature_tensor_many,
     get_potential,
-    metric_at,
     metric_many,
-    r_v_operator,
     r_v_operator_many,
-    warp_profile_eval,
 )
+from oracles import bianchi_residual
 
 EPS = 0.1
 WARP = MetricSpec.warped(eps=EPS)
 CENTER = ChartPoint(0.0, 1.0, 0.0)
 RV_CENTER = 2 * EPS / (1 + EPS / 2)  # 0.19047619...
+
+
+def profile_at(prof, r):
+    """(f, f', f'') at one radius, as floats."""
+    return tuple(float(a[0]) for a in prof.eval_many(np.array([r])))
 
 
 def seeded_points(seed, n, y_range=(0.4, 3.0)):
@@ -40,36 +42,46 @@ def seeded_points(seed, n, y_range=(0.4, 3.0)):
 # ---------------------------------------------------------------------------
 
 def test_profile_center_values():
-    f, fp, fpp = warp_profile_eval(WARP.warp, 0.0)
+    f, fp, fpp = profile_at(WARP.warp, 0.0)
     assert (f, fp, fpp) == (1.05, 0.0, -0.2)
 
 
 def test_profile_outside_blend():
-    assert warp_profile_eval(WARP.warp, 0.75) == (1.0, 0.0, 0.0)
-    assert warp_profile_eval(WARP.warp, 5.0) == (1.0, 0.0, 0.0)
+    assert profile_at(WARP.warp, 0.75) == (1.0, 0.0, 0.0)
+    assert profile_at(WARP.warp, 5.0) == (1.0, 0.0, 0.0)
 
 
 def test_profile_derivatives_match_finite_differences():
     # oracle: central differences of f itself at r = 0.6 (inside the blend)
     prof = WARP.warp
     r = 0.6
-    f, fp, fpp = warp_profile_eval(prof, r)
+    f, fp, fpp = profile_at(prof, r)
     h = 1e-6
-    f_p = warp_profile_eval(prof, r + h)[0]
-    f_m = warp_profile_eval(prof, r - h)[0]
+    f_p = profile_at(prof, r + h)[0]
+    f_m = profile_at(prof, r - h)[0]
     assert fp == pytest.approx((f_p - f_m) / (2 * h), abs=1e-7)
     h = 1e-4
-    f_p = warp_profile_eval(prof, r + h)[0]
-    f_m = warp_profile_eval(prof, r - h)[0]
+    f_p = profile_at(prof, r + h)[0]
+    f_m = profile_at(prof, r - h)[0]
     assert fpp == pytest.approx((f_p - 2 * f + f_m) / (h * h), abs=1e-5)
 
 
 def test_profile_c2_at_junctions():
     prof = WARP.warp
     for r_j in (prof.r0, prof.r1):
-        left = warp_profile_eval(prof, r_j - 1e-9)
-        right = warp_profile_eval(prof, r_j + 1e-9)
+        left = profile_at(prof, r_j - 1e-9)
+        right = profile_at(prof, r_j + 1e-9)
         assert left == pytest.approx(right, abs=1e-7)
+
+
+def test_warp_radius_full_relative_accuracy_near_center():
+    # arccosh argument 1 + u with u ~ 1e-9; the first-order series sqrt(2u)
+    # would be off by about u/12 relative
+    dx = np.sqrt(2e-9)
+    q = np.array([[dx, 1.0, 0.0], [0.5 * dx, 1.0, 0.0]])
+    rho = _warp_radius_and_grad(WARP.warp, q)[0]
+    u = (q[:, 0] ** 2 + (q[:, 1] - 1.0) ** 2) / (2.0 * q[:, 1])
+    assert rho == pytest.approx(2.0 * np.arcsinh(np.sqrt(0.5 * u)), rel=1e-15, abs=0.0)
 
 
 def test_profile_positive_and_validation():
@@ -81,8 +93,6 @@ def test_profile_positive_and_validation():
         WarpProfile(HPoint(0, 1), -0.1)
     with pytest.raises(DomainError):
         WarpProfile(HPoint(0, 1), 0.1, r0=0.8, r1=0.5)
-    with pytest.raises(DomainError):
-        warp_profile_eval(WARP.warp, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +100,12 @@ def test_profile_positive_and_validation():
 # ---------------------------------------------------------------------------
 
 def test_metric_product():
-    g = metric_at(MetricSpec.product(2.0), ChartPoint(3.0, 1.0, 0.5))
+    g = metric_many(MetricSpec.product(2.0), ChartPoint(3.0, 1.0, 0.5).as_array()[None])[0]
     assert np.allclose(g, np.diag([1.0, 1.0, 4.0]))
 
 
 def test_metric_warped_center():
-    g = metric_at(WARP, CENTER)
+    g = metric_many(WARP, CENTER.as_array()[None])[0]
     assert g[2, 2] == pytest.approx(1.1025, abs=1e-15)  # (1 + eps/2)^2
 
 
@@ -117,7 +127,7 @@ def test_metric_rejects_bad_points():
 # ---------------------------------------------------------------------------
 
 def test_christoffel_product_closed_form():
-    g = christoffel_at(MetricSpec.product(1.0), ChartPoint(0.0, 1.0, 0.0))
+    g = christoffel_many(MetricSpec.product(1.0), CENTER.as_array()[None])[0]
     expect = np.zeros((3, 3, 3))
     expect[1, 0, 0] = 1.0
     expect[0, 0, 1] = expect[0, 1, 0] = -1.0
@@ -127,7 +137,7 @@ def test_christoffel_product_closed_form():
 
 
 def test_christoffel_warped_vanishes_at_critical_point():
-    g = christoffel_at(WARP, CENTER)
+    g = christoffel_many(WARP, CENTER.as_array()[None])[0]
     assert np.max(np.abs(g[0:2, 2, 2])) <= 1e-12  # Gamma^i_tt = -f grad^i f = 0
 
 
@@ -138,7 +148,7 @@ def test_christoffel_twisted_first_order():
     for name in ("log_y", "x"):
         spec = MetricSpec.twisted(alpha, name)
         for p in (ChartPoint(0.0, 1.0, 0.0), ChartPoint(0.5, 1.7, 0.2)):
-            gam = christoffel_at(spec, p)
+            gam = christoffel_many(spec, p.as_array()[None])[0]
             hx, hy = get_potential(name).grad(p.x, p.y)
             expect_x = -alpha * p.y**2 * float(hx)
             expect_y = -alpha * p.y**2 * float(hy)
@@ -185,7 +195,7 @@ def test_curvature_product_sectionals_and_ricci_seeded():
         assert cs.sectionals[(0, 1)] == pytest.approx(-1.0, abs=1e-12)
         assert cs.sectionals[(0, 2)] == pytest.approx(0.0, abs=1e-12)
         assert cs.sectionals[(1, 2)] == pytest.approx(0.0, abs=1e-12)
-        g = metric_at(spec, p)
+        g = metric_many(spec, p.as_array()[None])[0]
         orth = cs.ricci / np.sqrt(np.outer(np.diag(g), np.diag(g)))
         assert np.allclose(orth, np.diag([-1.0, -1.0, 0.0]), rtol=0.0, atol=1e-12)
 
@@ -288,12 +298,12 @@ def test_curvature_twisted_converges_to_product_linearly():
 # ---------------------------------------------------------------------------
 
 def test_r_v_product_zero():
-    for row in seeded_points(6, 20):
-        assert np.max(np.abs(r_v_operator(MetricSpec.product(1.0), ChartPoint(*row)))) <= 1e-12
+    rv = r_v_operator_many(MetricSpec.product(1.0), seeded_points(6, 20))
+    assert np.max(np.abs(rv)) <= 1e-12
 
 
 def test_r_v_warped_center_eigenvalue():
-    rv = r_v_operator(WARP, CENTER)
+    rv = r_v_operator_many(WARP, CENTER.as_array()[None])[0]
     eig = np.linalg.eigvalsh(rv)
     assert eig == pytest.approx([RV_CENTER, RV_CENTER], rel=1e-5)
     assert eig.max() > 0  # positive mixed curvature at the bump
@@ -301,7 +311,7 @@ def test_r_v_warped_center_eigenvalue():
 
 def test_r_v_warped_outside_bump_zero():
     far = ChartPoint(3.0, 1.0, 0.0)  # hyperbolic distance from center > r1
-    assert np.max(np.abs(r_v_operator(WARP, far))) <= 1e-12
+    assert np.max(np.abs(r_v_operator_many(WARP, far.as_array()[None])[0])) <= 1e-12
 
 
 def test_r_v_warped_exact_at_blend_junction():
@@ -311,7 +321,7 @@ def test_r_v_warped_exact_at_blend_junction():
     prof = WARP.warp
     for rho in (prof.r0 - 1e-5, prof.r0 + 1e-5):
         q = np.array([[0.0, np.exp(rho), 0.0]])  # on the vertical through the center
-        f, fp, fpp = warp_profile_eval(prof, rho)
+        f, fp, fpp = profile_at(prof, rho)
         eig = np.linalg.eigvalsh(r_v_operator_many(WARP, q)[0])
         expect = np.sort([-fpp / f, -fp / np.tanh(rho) / f])
         assert eig == pytest.approx(expect, abs=1e-12)
