@@ -12,12 +12,19 @@ The stable Riccati tensor is built as the anchored limit: integrate
 U' = -U^2 - R_perp backward from U(T) = 0 and let the anchor grow;
 anchors T and 2T agreeing at t = 0 declares convergence.
 
-R_perp comes in closed form from the warped-product fiber kernel at the
-trajectory samples.  The RK4 stages between samples take it from
-four-point Lagrange interpolation on the nearest samples, which keeps
-both propagators fourth order.  Between samples, A(t) is the cubic
-Hermite interpolant of (A, A') at the two ends; root refinement runs on
-that dense output, with no re-integration.
+On the Product metric both propagators are closed form.  R_perp = -c c^T
+is constant in the parallel frame, |c| = sigma the horizontal speed, so
+with P = c c^T / sigma^2 the propagator is A = t (I - P) + (sinh(sigma t)
+/ sigma) P, det A = t sinh(sigma t) / sigma > 0 (no conjugate points), and
+the stable tensor is U = -sigma tanh(sigma (T - t)) P.
+
+Warped and Twisted runs step RK4 on the sample grid.  R_perp comes in
+closed form from the warped-product fiber kernel at the trajectory
+samples; the RK4 stages between samples take it from four-point Lagrange
+interpolation on the nearest samples, which keeps both propagators fourth
+order.  Between samples, A(t) is the cubic Hermite interpolant of (A, A')
+at the two ends; root refinement runs on that dense output, with no
+re-integration.
 """
 
 from __future__ import annotations
@@ -87,13 +94,63 @@ def normal_curvature_samples(traj: Trajectory) -> np.ndarray:
     """
     spec, q, v = traj.spec, traj.q, traj.v
     e = np.stack([traj.e1, traj.e2], axis=1)                       # (N, 2, 3)
-    c = (e[:, :, 0] * v[:, 1:2] - e[:, :, 1] * v[:, 0:1]) / q[:, 1:2] ** 2
+    c = _base_coupling(q, v, e)
     out = -(c[:, :, None] * c[:, None, :])
     if spec.kind != "Product":
         xi = v[:, None, 2:3] * e[:, :, 0:2] - e[:, :, 2:3] * v[:, None, 0:2]
         hxx = xi @ fiber_hessian(spec, q) @ np.swapaxes(xi, 1, 2)
         out -= fiber(spec, q)[0][:, None, None] * hxx
     return out
+
+
+def _base_coupling(q, v, e):
+    """(w_a x u) / y^2 for points q (..., 3), tangents v and frames e (..., 2, 3).
+
+    The K = -1 base block of R_perp is -c c^T with c this vector.
+    """
+    return (e[..., 0] * v[..., None, 1] - e[..., 1] * v[..., None, 0]) / q[..., None, 1] ** 2
+
+
+def _product_axis(traj: Trajectory):
+    """(sigma, P) of a Product row: R_perp = -sigma^2 P all along it.
+
+    c is constant along a Product geodesic in its parallel frame, so it is
+    read at the first sample; sigma = |c| is the horizontal speed and
+    P = c c^T / sigma^2.  A vertical row has c = 0: sigma = 0 and P = 0.
+    """
+    e = np.stack([traj.e1[0], traj.e2[0]])
+    c = _base_coupling(traj.q[0], traj.v[0], e)
+    sigma = math.hypot(c[0], c[1])
+    if sigma == 0.0:
+        return 0.0, np.zeros((2, 2))
+    c = c / sigma
+    return sigma, np.outer(c, c)
+
+
+def _product_propagators(sigma, P, t):
+    """Closed-form fundamental solutions (S, C, C') of A'' = sigma^2 P A at times t.
+
+    S(t) = t (I - P) + (sinh(sigma t) / sigma) P solves A(0) = 0, A'(0) = I;
+    C(t) = (I - P) + cosh(sigma t) P = S'(t) solves A(0) = I, A'(0) = 0, and
+    C'(t) = sigma sinh(sigma t) P.  Other initial data follow by linearity:
+    A = C A0 + S A'0.  sinh(sigma t) / sigma is taken as t sinh(x) / x with
+    x = sigma t, which stays exact where x underflows; at sigma = 0 (P = 0)
+    that gives S = t I and C = I.
+    """
+    t = np.asarray(t, float)[:, None, None]
+    x = sigma * t
+    sh = np.sinh(x)
+    Q = np.eye(2) - P
+    S = t * Q + (t * np.divide(sh, x, out=np.ones_like(x), where=x > 0.0)) * P
+    C = Q + np.cosh(x) * P
+    return S, C, (sigma * sh) * P
+
+
+def _product_riccati(sigma, P, t, T):
+    """Zero-anchored Riccati solution U(t) = -sigma tanh(sigma (T - t)) P at times t <= T."""
+    u = sigma * np.tanh(sigma * (T - np.asarray(t, float)))
+    # 0 - (...), not -(...): a zero entry stays +0.0 and never prints as -0.0
+    return 0.0 - u[:, None, None] * P
 
 
 def _midpoint_rperp(times, rperp, counts, lo, hi):
@@ -238,18 +295,28 @@ def _detect_conjugates(times, A, Ap, dets, step):
 
 
 def propagate_jacobi(traj: Trajectory, rperp: np.ndarray | None = None) -> JacobiRun:
-    """Normal-bundle propagator with A(0) = 0, A'(0) = I, plus conjugates."""
-    if rperp is None:
-        rperp = normal_curvature_samples(traj)
-    A, Ap = _propagate_pair(traj.times, rperp[None], np.zeros((2, 2)), np.eye(2),
-                            0, traj.n_samples - 1)
-    A, Ap = A[0], Ap[0]
+    """Normal-bundle propagator with A(0) = 0, A'(0) = I, plus conjugates.
+
+    Product rows take the closed form and ignore rperp; the other kinds
+    step RK4 on R_perp, computed here when rperp is None.
+    """
+    if traj.spec.kind == "Product":
+        A, Ap, _ = _product_propagators(*_product_axis(traj), traj.times)
+    else:
+        if rperp is None:
+            rperp = normal_curvature_samples(traj)
+        A, Ap = _propagate_pair(traj.times, rperp[None], np.zeros((2, 2)), np.eye(2),
+                                0, traj.n_samples - 1)
+        A, Ap = A[0], Ap[0]
     conj = _detect_conjugates(traj.times, A, Ap, np.linalg.det(A), traj.step)
     return JacobiRun(traj=traj, A=A, Ap=Ap, conjugates=conj)
 
 
 def companion_propagator(traj: Trajectory, rperp: np.ndarray | None = None):
-    """Propagator with A(0) = I, A'(0) = 0 (fields with J(0) != 0)."""
+    """Propagator with A(0) = I, A'(0) = 0 (fields with J(0) != 0); rperp as in propagate_jacobi."""
+    if traj.spec.kind == "Product":
+        _, C, Cp = _product_propagators(*_product_axis(traj), traj.times)
+        return C, Cp
     if rperp is None:
         rperp = normal_curvature_samples(traj)
     A, Ap = _propagate_pair(traj.times, rperp[None], np.eye(2), np.zeros((2, 2)),
@@ -312,13 +379,16 @@ def _anchor_index(traj: Trajectory, T_anchor: float) -> int:
 
 def riccati_stable(traj: Trajectory, T_anchor: float,
                    rperp: np.ndarray | None = None) -> RiccatiRun:
-    """Backward zero-anchored Riccati solution on [0, T_anchor]."""
-    if rperp is None:
-        rperp = normal_curvature_samples(traj)
+    """Backward zero-anchored Riccati solution on [0, T_anchor]; rperp as in propagate_jacobi."""
     k = _anchor_index(traj, T_anchor)
-    U = _riccati_backward(traj.times, rperp[None], k)[0]
-    return RiccatiRun(traj=traj, times=traj.times[: k + 1].copy(),
-                      U=U[: k + 1], T_anchor=float(traj.times[k]))
+    times = traj.times[: k + 1].copy()
+    if traj.spec.kind == "Product":
+        U = _product_riccati(*_product_axis(traj), times, times[k])
+    else:
+        if rperp is None:
+            rperp = normal_curvature_samples(traj)
+        U = _riccati_backward(traj.times, rperp[None], k)[0, : k + 1]
+    return RiccatiRun(traj=traj, times=times, U=U, T_anchor=float(times[k]))
 
 
 def riccati_stable_limit(traj: Trajectory, T: float, tol: float = 1e-6):
@@ -328,7 +398,7 @@ def riccati_stable_limit(traj: Trajectory, T: float, tol: float = 1e-6):
     """
     if 2.0 * T > traj.T + 1e-12:
         raise DomainError(f"trajectory too short for anchor doubling: need T >= {2*T}")
-    rperp = normal_curvature_samples(traj)
+    rperp = None if traj.spec.kind == "Product" else normal_curvature_samples(traj)
     run1 = riccati_stable(traj, T, rperp)
     run2 = riccati_stable(traj, 2.0 * T, rperp)
     delta = float(np.max(np.abs(run1.U[0] - run2.U[0])))
@@ -407,9 +477,11 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
     cut = [b for b, t in enumerate(trajs) if t.truncated]
     if cut:
         raise NumericsError("vertical geodesic left the chart", row=cut[0])
-    rperp = np.stack([normal_curvature_samples(t) for t in trajs])
-    U = _riccati_backward(trajs[0].times, rperp, trajs[0].n_samples - 1)
-    u0 = U[:, 0]
+    if spec.kind == "Product":
+        u0 = np.stack([_product_riccati(*_product_axis(t), t.times[:1], t.T)[0] for t in trajs])
+    else:
+        rperp = np.stack([normal_curvature_samples(t) for t in trajs])
+        u0 = _riccati_backward(trajs[0].times, rperp, trajs[0].n_samples - 1)[:, 0]
     rv = r_v_operator_many(spec, pts)
     values = np.einsum("bij,bji->b", u0, u0) + np.trace(rv, axis1=-2, axis2=-1)
     est = float(np.mean(values))
@@ -529,21 +601,26 @@ def _scan_chunk(args):
     spec, indices, Tmax, step, seed, box = args
     q0s, v0s = _draw_initial_conditions(spec, indices, seed, box)
     trajs = integrate_geodesic_batch(spec, q0s, v0s, Tmax, step)
-    counts = np.array([t.n_samples for t in trajs])
-    longest = trajs[int(np.argmax(counts))]
-    grid = longest.times
-    nmax = longest.n_samples
-    # truncated runs are zero-padded past their end; the padded stretch of
-    # the propagation of the whole chunk is sliced away before detection
-    rperp = np.zeros((len(trajs), nmax, 2, 2))
-    for b, traj in enumerate(trajs):
-        rperp[b, : counts[b]] = normal_curvature_samples(traj)
-    A, Ap = _propagate_pair(grid, rperp, np.zeros((2, 2)), np.eye(2), 0, nmax - 1, counts)
+    if spec.kind == "Product":
+        # one row at a time, so only one row's (A, A') is alive
+        pairs = (_product_propagators(*_product_axis(t), t.times)[:2] for t in trajs)
+    else:
+        counts = np.array([t.n_samples for t in trajs])
+        longest = trajs[int(np.argmax(counts))]
+        nmax = longest.n_samples
+        # truncated runs are zero-padded past their end; the padded stretch of
+        # the propagation of the whole chunk is sliced away before detection
+        rperp = np.zeros((len(trajs), nmax, 2, 2))
+        for b, traj in enumerate(trajs):
+            rperp[b, : counts[b]] = normal_curvature_samples(traj)
+        As, Aps = _propagate_pair(longest.times, rperp, np.zeros((2, 2)), np.eye(2),
+                                  0, nmax - 1, counts)
+        pairs = ((As[b, :n], Aps[b, :n]) for b, n in enumerate(counts))
     rows = []
-    for b, traj in enumerate(trajs):
-        n = counts[b]
-        dets = np.linalg.det(A[b, :n])
-        conj = _detect_conjugates(grid[:n], A[b, :n], Ap[b, :n], dets, step)
+    for b, (traj, (A, Ap)) in enumerate(zip(trajs, pairs)):
+        n = traj.n_samples
+        dets = np.linalg.det(A)
+        conj = _detect_conjugates(traj.times, A, Ap, dets, step)
         rows.append(ScanRow(
             index=indices[b],
             q0=q0s[b],

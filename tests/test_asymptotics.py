@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from h2xr.errors import DomainError
 from h2xr.hyperbolic import HPoint
+from h2xr.metrics import MetricSpec, christoffel_many
 from h2xr.asymptotics import (
     ProductPoint,
     ball_volume,
@@ -129,6 +130,36 @@ def test_busemann_gradient_unit_and_fiber_aligned():
     assert g[2] / L == -1.0
     # g-norm: |grad b|^2 = g^tt (d_t b)^2 = (d_t b / L)^2 = 1
     assert (g[2] / L) ** 2 == 1.0
+
+
+def _fd_busemann_derivatives(L, q, s, h=1e-3):
+    """Central-difference gradient and covariant Hessian of busemann_estimate at chart point q."""
+    def b(p):
+        return busemann_estimate(L, ProductPoint(HPoint(p[0], p[1]), p[2]), s)
+
+    E = np.eye(3) * h
+    grad = np.array([(b(q + E[i]) - b(q - E[i])) / (2.0 * h) for i in range(3)])
+    hess = np.array([[(b(q + E[i] + E[j]) - b(q + E[i] - E[j]) - b(q - E[i] + E[j])
+                       + b(q - E[i] - E[j])) / (4.0 * h * h) for j in range(3)]
+                     for i in range(3)])
+    gam = christoffel_many(MetricSpec.product(L), q[None])[0]
+    return grad, hess - np.einsum("kij,k->ij", gam, grad)
+
+
+def test_busemann_derivatives_are_the_limit_of_finite_s_differences():
+    # the ledger's Busemann points: the finite-s estimate differenced in the
+    # chart approaches the closed-form derivatives like O(1/s), so its error
+    # halves each time s - L|t| doubles
+    for L, q in ((1.0, (0.0, 1.0, 0.0)), (1.0, (1.0, 2.0, 3.0)), (2.0, (0.5, 1.5, 2.0))):
+        q = np.array(q)
+        grad, hess = busemann_derivatives(L, ProductPoint(HPoint(q[0], q[1]), q[2]))
+        errs = []
+        for s in (30.0, 60.0, 120.0):
+            g, h = _fd_busemann_derivatives(L, q, s + L * abs(q[2]))
+            errs.append(max(np.max(np.abs(g - grad)), np.max(np.abs(h - hess))))
+        assert errs[0] <= 0.05
+        for e_s, e_2s in zip(errs, errs[1:]):
+            assert 1.9 <= e_s / e_2s <= 2.1, (L, q, errs)
 
 
 def test_ball_volume_small_radius_euclidean():

@@ -2,15 +2,19 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import h2xr.jacobi as jacobi_mod
 from h2xr.errors import DomainError, NumericsError
 from h2xr.geodesics import integrate_geodesic, integrate_geodesic_batch, unit_vector
 from h2xr.jacobi import (
     DEFAULT_SCAN_BOX,
     BoxSampler,
     PointSampler,
+    companion_propagator,
     first_conjugate_point,
     fit_frequency,
     normal_curvature_samples,
@@ -23,6 +27,8 @@ from h2xr.jacobi import (
     wronskian_drift,
     _draw_initial_conditions,
     _hermite,
+    _product_propagators,
+    _product_riccati,
     _propagate_pair,
     _scan_chunk,
 )
@@ -59,10 +65,10 @@ def test_product_horizontal_propagator_closed_form():
     run = propagate_jacobi(horizontal_run(T=10.0))
     t = run.times[1:]
     expect_11 = np.sinh(t)
-    assert np.max(np.abs(run.A[1:, 0, 0] - expect_11) / expect_11) <= 1e-12
-    assert np.max(np.abs(run.A[1:, 1, 1] - t) / t) <= 1e-12
-    assert np.max(np.abs(run.A[:, 0, 1])) <= 1e-12
-    assert np.max(np.abs(run.A[:, 1, 0])) <= 1e-12
+    assert np.max(np.abs(run.A[1:, 0, 0] - expect_11) / expect_11) <= 1e-15
+    assert np.max(np.abs(run.A[1:, 1, 1] - t) / t) <= 1e-15
+    assert np.max(np.abs(run.A[:, 0, 1])) <= 1e-15
+    assert np.max(np.abs(run.A[:, 1, 0])) <= 1e-15
     assert run.conjugates == []
 
 
@@ -71,10 +77,82 @@ def test_product_vertical_propagator_linear():
     v0 = unit_vector(spec, ORIGIN, [0, 0, 1])
     tr = integrate_geodesic(spec, ORIGIN, v0, T=10.0, step=1e-2)
     run = propagate_jacobi(tr)
-    t = run.times
-    assert np.max(np.abs(run.A[:, 0, 0] - t)) <= 1e-10
-    assert np.max(np.abs(run.A[:, 1, 1] - t)) <= 1e-10
+    # sigma = 0: A = t I exactly
+    assert np.array_equal(run.A, run.times[:, None, None] * np.eye(2))
     assert run.conjugates == []
+
+
+def _errors_and_norms(a, ref):
+    """Per-sample max-norm errors of a against ref, and the norms of ref."""
+    return np.max(np.abs(a - ref), axis=(-2, -1)), np.max(np.abs(ref), axis=(-2, -1))
+
+
+def test_product_closed_form_matches_rk4_engine():
+    # Twisted with alpha = 0 is the product metric with every propagator
+    # stepped by RK4; the closed form must agree to RK4's own error
+    twin = MetricSpec.twisted(0.0, "x")
+    q0 = ChartPoint(0.2, 1.3, 0.1)
+    directions = ((1, 0, 0), (0, 0, 1), (0.3, 0.2, 1), (-0.7, 0.2, -0.4))
+    q0s = np.repeat(q0.as_array()[None], len(directions), axis=0)
+    v0s = np.array([unit_vector(PROD, q0, d) for d in directions])
+    runs = zip(directions, integrate_geodesic_batch(PROD, q0s, v0s, 5.0),
+               integrate_geodesic_batch(twin, q0s, v0s, 5.0))
+    for direction, exact, rk4 in runs:
+        je, jr = propagate_jacobi(exact), propagate_jacobi(rk4)
+        pairs = [(je.A, jr.A), (je.Ap, jr.Ap),
+                 *zip(companion_propagator(exact), companion_propagator(rk4)),
+                 (riccati_stable(exact, 5.0).U, riccati_stable(rk4, 5.0).U)]
+        for a, ref in pairs:
+            err, norm = _errors_and_norms(a, ref)
+            assert np.all(err <= 1e-12 * norm), direction
+
+
+def test_product_never_steps_rk4(monkeypatch):
+    def no_rk4(*args, **kwargs):
+        raise AssertionError("Product run stepped an RK4 propagator")
+
+    monkeypatch.setattr(jacobi_mod, "_propagate_pair", no_rk4)
+    monkeypatch.setattr(jacobi_mod, "_riccati_backward", no_rk4)
+    tr = integrate_geodesic(PROD, ORIGIN, unit_vector(PROD, ORIGIN, [0.3, 1, 0.2]), T=2.0)
+    assert propagate_jacobi(tr).conjugates == []
+    companion_propagator(tr)
+    riccati_stable_limit(tr, 1.0, tol=1.0)
+    riccati_average(PROD, BoxSampler(), n=3, seed=0, anchor=1.0, step=1e-2)
+    rows = scan_conjugate_points(PROD, count=3, Tmax=2.0, seed=0, workers=1)
+    assert [r.t_star for r in rows] == [None] * 3
+
+
+def _mp_closed_forms(sigma, P, t, T):
+    """S, C, C' and U of the Product closed forms at 50 digits, rounded to float."""
+    with mpmath.workdps(50):
+        s, t, T = mpmath.mpf(sigma), mpmath.mpf(t), mpmath.mpf(T)
+        Pm = mpmath.matrix(P.tolist())
+        Q = mpmath.eye(2) - Pm
+        sh = mpmath.sinh(s * t) / s if sigma > 0.0 else t
+        S = t * Q + sh * Pm
+        C = Q + mpmath.cosh(s * t) * Pm
+        Cp = s * mpmath.sinh(s * t) * Pm
+        U = -s * mpmath.tanh(s * (T - t)) * Pm
+        return [np.array(m.tolist(), dtype=float) for m in (S, C, Cp, U)]
+
+
+@given(sigma=st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4))
+@example(sigma=0.0, angle=0.3, times=[0.0, 1.0, 50.0])
+@example(sigma=1e-9, angle=2.0, times=[0.0, 1e-3, 50.0])
+def test_product_closed_forms_match_mpmath(sigma, angle, times):
+    # relative to the larger of |exact| and the smallest normal float,
+    # below which the exact value is not representable anyway
+    c = np.array([math.cos(angle), math.sin(angle)])
+    P = np.zeros((2, 2)) if sigma == 0.0 else np.outer(c, c)
+    T = 50.0
+    got = (*_product_propagators(sigma, P, np.array(times)),
+           _product_riccati(sigma, P, np.array(times), T))
+    for k, t in enumerate(times):
+        for m, ref in zip(got, _mp_closed_forms(sigma, P, t, T)):
+            err, norm = _errors_and_norms(m[k], ref)
+            assert err <= 1e-14 * max(norm, np.finfo(float).tiny), (t, ref)
 
 
 def test_wronskian_conserved():
@@ -190,8 +268,9 @@ def test_scan_rows_match_single_trajectory_runs(spec):
 
 
 def test_truncated_rows_propagate_as_their_own_trajectories():
-    # rows cut at the chart floor are zero-padded in the chunk; the midpoint
-    # stencil must stay inside each row, so every row matches its own run
+    # rows cut at the chart floor are zero-padded in the RK4 chunk; the
+    # midpoint stencil must stay inside each row, so every row matches its
+    # own RK4 run (Product rows truncate cheaply, so they feed the padding)
     q0s, v0s = _draw_initial_conditions(PROD, list(range(5)), 4, DEFAULT_SCAN_BOX)
     trajs = integrate_geodesic_batch(PROD, q0s, v0s, 20.0, 4e-3)
     counts = np.array([t.n_samples for t in trajs])
@@ -202,14 +281,13 @@ def test_truncated_rows_propagate_as_their_own_trajectories():
     grid = trajs[int(np.argmax(counts))].times
     A, Ap = _propagate_pair(grid, rperp, np.zeros((2, 2)), np.eye(2), 0, len(grid) - 1, counts)
     for b, tr in enumerate(trajs):
-        run = propagate_jacobi(tr)
-        assert np.array_equal(A[b, : counts[b]], run.A)
-        assert np.array_equal(Ap[b, : counts[b]], run.Ap)
+        A1, Ap1 = _propagate_pair(tr.times, rperp[b:b + 1, : counts[b]], np.zeros((2, 2)),
+                                  np.eye(2), 0, counts[b] - 1)
+        assert np.array_equal(A[b, : counts[b]], A1[0])
+        assert np.array_equal(Ap[b, : counts[b]], Ap1[0])
 
 
 def test_scan_pool_capped_at_cpu_count(monkeypatch):
-    import h2xr.jacobi as jacobi_mod
-
     sizes = []
 
     class SerialPool:
@@ -253,7 +331,7 @@ def test_riccati_product_vertical_zero():
     v0 = unit_vector(spec, ORIGIN, [0, 0, 1])
     tr = integrate_geodesic(spec, ORIGIN, v0, T=40.0, step=1e-2)
     run = riccati_stable(tr, 40.0)
-    assert np.max(np.abs(run.U)) <= 1e-10
+    assert not np.any(run.U)
 
 
 def test_riccati_h2_factor_tanh_closed_form():
@@ -262,37 +340,35 @@ def test_riccati_h2_factor_tanh_closed_form():
         run = riccati_stable(tr, anchor)
         u = run.U[:, 0, 0]
         expect = np.tanh(run.times - anchor)
-        # dominated by the curvature finite-difference bias (~1e-8 relative
-        # in R_perp, hence ~5e-9 in u), not by the integrator
-        assert np.max(np.abs(u - expect)) <= 2e-8
+        assert np.max(np.abs(u - expect)) <= 1e-15
         assert np.max(np.abs(run.U[:, 1, 1])) <= 1e-12
         assert np.max(np.abs(run.U[:, 0, 1])) <= 1e-12
     # anchored value converges to -1 at least exponentially until the
-    # curvature-bias floor; the closed form itself decays like 2 e^{-2T}
-    floor = 2e-8
+    # round-off floor; the closed form itself decays like 2 e^{-2T}
+    floor = 1e-15
     vals = [abs(riccati_stable(tr, T).U[0, 0, 0] + 1.0) for T in (5.0, 10.0, 20.0)]
-    assert vals[0] == pytest.approx(1.0 - math.tanh(5.0), rel=1e-4)
+    assert vals[0] == pytest.approx(1.0 - math.tanh(5.0), rel=1e-14)
     assert vals[1] <= max(vals[0] * math.exp(-5.0), floor)
     assert vals[2] <= max(vals[1] * math.exp(-10.0), floor)
 
 
 def test_riccati_symmetry_preserved():
     run = riccati_stable(upward_run(T=20.0), 10.0)
-    assert np.max(np.abs(run.U - np.swapaxes(run.U, -2, -1))) <= 1e-8
+    assert np.array_equal(run.U, np.swapaxes(run.U, -2, -1))
 
 
 def test_riccati_anchor_doubling():
     tr = upward_run(T=40.0)
     run, delta = riccati_stable_limit(tr, T=20.0)
-    assert delta <= 1e-6
-    assert run.U[0, 0, 0] == pytest.approx(-1.0, abs=1e-4)
+    assert delta <= 1e-15
+    assert run.U[0, 0, 0] == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_riccati_jacobi_consistency():
     tr = upward_run(T=40.0)
     ric = riccati_stable(tr, 20.0)
-    tt, uj = riccati_from_jacobi(tr, 20.0)
-    assert np.nanmax(np.abs(uj - ric.U[: len(tt)])) <= 1e-6
+    tt, uj = riccati_from_jacobi(tr, 20.0)   # the oracle steps RK4
+    assert np.nanmax(np.abs(uj - ric.U[: len(tt)])) <= 1e-13
 
 
 def test_riccati_blowup_error():
