@@ -84,6 +84,13 @@ def _point(p) -> ChartPoint:
     return ChartPoint(p["q0_x"], p["q0_y"], p["q0_t"])
 
 
+def _product_L(cfg: JobConfig) -> float:
+    """L of the Product metric, for the jobs whose formulas hold only there."""
+    if cfg.metric.kind != "Product":
+        raise DomainError(f"job {cfg.job!r} requires the Product metric, got {cfg.metric.kind!r}")
+    return cfg.metric.L
+
+
 def _box(p):
     return ((p["box_x0"], p["box_x1"]), (p["box_y0"], p["box_y1"]),
             (p["box_t0"], p["box_t1"]))
@@ -117,10 +124,9 @@ def _run_jacobi(cfg: JobConfig):
     v0 = unit_vector(cfg.metric, q0, [p["v0_x"], p["v0_y"], p["v0_t"]])
     traj = integrate_geodesic(cfg.metric, q0, v0, T=p["T"], step=p["step"])
     run = jacobi.propagate_jacobi(traj)
-    dets = run.dets()
     table = [
         (run.times[k], run.A[k, 0, 0], run.A[k, 0, 1], run.A[k, 1, 0],
-         run.A[k, 1, 1], dets[k])
+         run.A[k, 1, 1], run.dets[k])
         for k in range(len(run.times))
     ]
     header = ["t", "A11", "A12", "A21", "A22", "det_A"]
@@ -165,9 +171,7 @@ def _run_riccati_average(cfg: JobConfig):
 
 def _run_busemann(cfg: JobConfig):
     p = cfg.params
-    L = cfg.metric.L if cfg.metric.kind == "Product" else None
-    if L is None:
-        raise DomainError("busemann estimates require the Product metric")
+    L = _product_L(cfg)
     x = asymptotics.ProductPoint(HPoint(p["q0_x"], p["q0_y"]), p["q0_t"])
     s_grid = np.linspace(1.0, p["s_max"], p["s_count"])
     table = [(s, asymptotics.busemann_estimate(L, x, s)) for s in s_grid]
@@ -205,8 +209,8 @@ def _run_volume_growth(cfg: JobConfig):
 
 def _run_spectrum(cfg: JobConfig):
     p = cfg.params
+    L = _product_L(cfg)
     sig = invariants.SigmaSpectrum.from_file(p["sigma_file"])
-    L = cfg.metric.L
     pairs = invariants.product_spectrum(sig, L, p["cutoff"])
     gap = invariants.spectral_gap(sig, L) if any(v > 0 for v in sig.eigenvalues) else None
     header = ["eigenvalue", "multiplicity"]
@@ -216,9 +220,10 @@ def _run_spectrum(cfg: JobConfig):
 
 def _run_length_spectrum(cfg: JobConfig):
     p = cfg.params
+    L = _product_L(cfg)
     gens = load_generators(p["generators_file"])
     entries = invariants.enumerate_length_spectrum(
-        gens, max_word=p["max_word"], L=cfg.metric.L, n_max=p["n_max"]
+        gens, max_word=p["max_word"], L=L, n_max=p["n_max"]
     )
     header = ["word", "trace", "ell_sigma", "n", "ell"]
     table = [(e.word, e.trace, e.ell_sigma, e.n, e.ell) for e in entries]
@@ -227,7 +232,7 @@ def _run_length_spectrum(cfg: JobConfig):
 
 def _run_isoperimetric(cfg: JobConfig):
     p = cfg.params
-    L = cfg.metric.L
+    L = _product_L(cfg)
     rows = invariants.tube_profiles(L, p["r_list"], p["ell"], p["w_list"])
     header = ["kind", "param", "volume", "area", "bound", "area_minus_bound",
               "ratio", "status"]
@@ -258,7 +263,7 @@ def _run_curvature_deviation(cfg: JobConfig):
 
 def _run_gap_constant(cfg: JobConfig):
     p = cfg.params
-    delta, eps0 = invariants.epsilon0(p["lambda1"], cfg.metric.L, p["diam"])
+    delta, eps0 = invariants.epsilon0(p["lambda1"], _product_L(cfg), p["diam"])
     return {"gap_constant.csv": (["delta", "eps0"], [(delta, eps0)])}, {"eps0": eps0}
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .hyperbolic import HPoint
-from .metrics import KINDS, MetricSpec, WarpProfile
+from .metrics import KINDS, MetricSpec
 
 
 def _positive(x):
@@ -244,11 +244,7 @@ def _build_metric(v: dict) -> MetricSpec:
     if kind == "Product":
         return MetricSpec.product(v["L"])
     if kind == "Warped":
-        profile = WarpProfile(
-            center=HPoint(v["center_x"], v["center_y"]),
-            eps=v["eps"], r0=v["r0"], r1=v["r1"],
-        )
-        return MetricSpec(kind="Warped", warp=profile)
+        return MetricSpec.warped(v["eps"], HPoint(v["center_x"], v["center_y"]), v["r0"], v["r1"])
     return MetricSpec.twisted(v["alpha"], v["potential"])
 
 

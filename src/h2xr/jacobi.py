@@ -24,7 +24,8 @@ samples; the RK4 stages between samples take it from four-point Lagrange
 interpolation on the nearest samples, which keeps both propagators fourth
 order.  Between samples, A(t) is the cubic Hermite interpolant of (A, A')
 at the two ends; root refinement runs on that dense output, with no
-re-integration.
+re-integration.  The Product/RK4 choice is made only in `_propagators`
+(A, A') and `_stable_tensors` (U); every entry point reads one of them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +66,12 @@ class JacobiRun:
     traj: Trajectory
     A: np.ndarray          # (N, 2, 2)
     Ap: np.ndarray         # (N, 2, 2)
-    conjugates: list = field(default_factory=list)
+    dets: np.ndarray       # (N,) det A
+    conjugates: list
 
     @property
     def times(self) -> np.ndarray:
         return self.traj.times
-
-    def dets(self) -> np.ndarray:
-        return np.linalg.det(self.A)
 
 
 @dataclass(frozen=True)
@@ -294,34 +293,50 @@ def _detect_conjugates(times, A, Ap, dets, step):
     return found
 
 
-def propagate_jacobi(traj: Trajectory, rperp: np.ndarray | None = None) -> JacobiRun:
-    """Normal-bundle propagator with A(0) = 0, A'(0) = I, plus conjugates.
+def _propagators(trajs, companion=False):
+    """Each row's (A, A') with A(0) = 0, A'(0) = I, or A(0) = I, A'(0) = 0 if companion.
 
-    Product rows take the closed form and ignore rperp; the other kinds
-    step RK4 on R_perp, computed here when rperp is None.
+    The rows share one spec.  Product rows take the closed form one at a
+    time, so only one row's arrays are alive; the other kinds step one RK4
+    batch over R_perp zero-padded past each row's end, and each row's
+    result is sliced back to its own length.
     """
-    if traj.spec.kind == "Product":
-        A, Ap, _ = _product_propagators(*_product_axis(traj), traj.times)
-    else:
-        if rperp is None:
-            rperp = normal_curvature_samples(traj)
-        A, Ap = _propagate_pair(traj.times, rperp[None], np.zeros((2, 2)), np.eye(2),
-                                0, traj.n_samples - 1)
-        A, Ap = A[0], Ap[0]
-    conj = _detect_conjugates(traj.times, A, Ap, np.linalg.det(A), traj.step)
-    return JacobiRun(traj=traj, A=A, Ap=Ap, conjugates=conj)
+    if trajs[0].spec.kind == "Product":
+        pick = slice(1, 3) if companion else slice(0, 2)
+        for t in trajs:
+            yield _product_propagators(*_product_axis(t), t.times)[pick]
+        return
+    counts = np.array([t.n_samples for t in trajs])
+    longest = trajs[int(np.argmax(counts))]
+    rperp = np.zeros((len(trajs), longest.n_samples, 2, 2))
+    for b, t in enumerate(trajs):
+        rperp[b, : counts[b]] = normal_curvature_samples(t)
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    A0, Ap0 = (eye, zero) if companion else (zero, eye)
+    As, Aps = _propagate_pair(longest.times, rperp, A0, Ap0, 0, longest.n_samples - 1, counts)
+    for b, n in enumerate(counts):
+        yield As[b, :n], Aps[b, :n]
 
 
-def companion_propagator(traj: Trajectory, rperp: np.ndarray | None = None):
-    """Propagator with A(0) = I, A'(0) = 0 (fields with J(0) != 0); rperp as in propagate_jacobi."""
-    if traj.spec.kind == "Product":
-        _, C, Cp = _product_propagators(*_product_axis(traj), traj.times)
-        return C, Cp
-    if rperp is None:
-        rperp = normal_curvature_samples(traj)
-    A, Ap = _propagate_pair(traj.times, rperp[None], np.eye(2), np.zeros((2, 2)),
-                            0, traj.n_samples - 1)
-    return A[0], Ap[0]
+def _jacobi_runs(trajs):
+    """One JacobiRun per row of trajs (one spec), yielded a row at a time."""
+    for traj, (A, Ap) in zip(trajs, _propagators(trajs)):
+        dets = np.linalg.det(A)
+        yield JacobiRun(traj=traj, A=A, Ap=Ap, dets=dets,
+                        conjugates=_detect_conjugates(traj.times, A, Ap, dets, traj.step))
+
+
+def propagate_jacobi(traj: Trajectory) -> JacobiRun:
+    """Normal-bundle propagator with A(0) = 0, A'(0) = I, plus conjugates."""
+    return next(_jacobi_runs([traj]))
+
+
+def companion_propagator(traj: Trajectory, rperp=None):
+    """Propagator with A(0) = I, A'(0) = 0 (fields with J(0) != 0).
+
+    rperp is not read; it is accepted for callers that still pass R_perp.
+    """
+    return next(_propagators([traj], companion=True))
 
 
 def wronskian_drift(run: JacobiRun) -> float:
@@ -377,17 +392,26 @@ def _anchor_index(traj: Trajectory, T_anchor: float) -> int:
     return k
 
 
-def riccati_stable(traj: Trajectory, T_anchor: float,
-                   rperp: np.ndarray | None = None) -> RiccatiRun:
-    """Backward zero-anchored Riccati solution on [0, T_anchor]; rperp as in propagate_jacobi."""
+def _stable_tensors(trajs, k):
+    """Each row's zero-anchored U on samples 0..k, shape (k + 1, 2, 2).
+
+    The rows share one spec and one time grid.  Product rows take the
+    closed form one at a time; the other kinds integrate backward in one
+    RK4 batch.
+    """
+    if trajs[0].spec.kind == "Product":
+        for t in trajs:
+            yield _product_riccati(*_product_axis(t), t.times[: k + 1], t.times[k])
+        return
+    rperp = np.stack([normal_curvature_samples(t) for t in trajs])
+    yield from _riccati_backward(trajs[0].times, rperp, k)[:, : k + 1]
+
+
+def riccati_stable(traj: Trajectory, T_anchor: float) -> RiccatiRun:
+    """Backward zero-anchored Riccati solution on [0, T_anchor]."""
     k = _anchor_index(traj, T_anchor)
     times = traj.times[: k + 1].copy()
-    if traj.spec.kind == "Product":
-        U = _product_riccati(*_product_axis(traj), times, times[k])
-    else:
-        if rperp is None:
-            rperp = normal_curvature_samples(traj)
-        U = _riccati_backward(traj.times, rperp[None], k)[0, : k + 1]
+    U = next(_stable_tensors([traj], k))
     return RiccatiRun(traj=traj, times=times, U=U, T_anchor=float(times[k]))
 
 
@@ -398,9 +422,8 @@ def riccati_stable_limit(traj: Trajectory, T: float, tol: float = 1e-6):
     """
     if 2.0 * T > traj.T + 1e-12:
         raise DomainError(f"trajectory too short for anchor doubling: need T >= {2*T}")
-    rperp = None if traj.spec.kind == "Product" else normal_curvature_samples(traj)
-    run1 = riccati_stable(traj, T, rperp)
-    run2 = riccati_stable(traj, 2.0 * T, rperp)
+    run1 = riccati_stable(traj, T)
+    run2 = riccati_stable(traj, 2.0 * T)
     delta = float(np.max(np.abs(run1.U[0] - run2.U[0])))
     if delta > tol:
         raise NumericsError(
@@ -477,11 +500,8 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
     cut = [b for b, t in enumerate(trajs) if t.truncated]
     if cut:
         raise NumericsError("vertical geodesic left the chart", row=cut[0])
-    if spec.kind == "Product":
-        u0 = np.stack([_product_riccati(*_product_axis(t), t.times[:1], t.T)[0] for t in trajs])
-    else:
-        rperp = np.stack([normal_curvature_samples(t) for t in trajs])
-        u0 = _riccati_backward(trajs[0].times, rperp, trajs[0].n_samples - 1)[:, 0]
+    # copy row 0: a view would keep each row's whole U alive
+    u0 = np.stack([U[0].copy() for U in _stable_tensors(trajs, trajs[0].n_samples - 1)])
     rv = r_v_operator_many(spec, pts)
     values = np.einsum("bij,bji->b", u0, u0) + np.trace(rv, axis1=-2, axis2=-1)
     est = float(np.mean(values))
@@ -582,7 +602,7 @@ class ScanRow:
     truncated: bool
 
 
-DEFAULT_SCAN_BOX = BoxSampler(x=(-1.0, 1.0), y=(0.5, 2.0), t=(0.0, 1.0))
+DEFAULT_SCAN_BOX = BoxSampler()
 
 
 def _draw_initial_conditions(spec, indices, seed, box):
@@ -601,35 +621,10 @@ def _scan_chunk(args):
     spec, indices, Tmax, step, seed, box = args
     q0s, v0s = _draw_initial_conditions(spec, indices, seed, box)
     trajs = integrate_geodesic_batch(spec, q0s, v0s, Tmax, step)
-    if spec.kind == "Product":
-        # one row at a time, so only one row's (A, A') is alive
-        pairs = (_product_propagators(*_product_axis(t), t.times)[:2] for t in trajs)
-    else:
-        counts = np.array([t.n_samples for t in trajs])
-        longest = trajs[int(np.argmax(counts))]
-        nmax = longest.n_samples
-        # truncated runs are zero-padded past their end; the padded stretch of
-        # the propagation of the whole chunk is sliced away before detection
-        rperp = np.zeros((len(trajs), nmax, 2, 2))
-        for b, traj in enumerate(trajs):
-            rperp[b, : counts[b]] = normal_curvature_samples(traj)
-        As, Aps = _propagate_pair(longest.times, rperp, np.zeros((2, 2)), np.eye(2),
-                                  0, nmax - 1, counts)
-        pairs = ((As[b, :n], Aps[b, :n]) for b, n in enumerate(counts))
-    rows = []
-    for b, (traj, (A, Ap)) in enumerate(zip(trajs, pairs)):
-        n = traj.n_samples
-        dets = np.linalg.det(A)
-        conj = _detect_conjugates(traj.times, A, Ap, dets, step)
-        rows.append(ScanRow(
-            index=indices[b],
-            q0=q0s[b],
-            v0=v0s[b],
-            t_star=conj[0] if conj else None,
-            det_min=float(np.min(dets[1:])) if n > 1 else 0.0,
-            truncated=traj.truncated,
-        ))
-    return rows
+    return [ScanRow(index=i, q0=q0, v0=v0, t_star=run.conjugates[0] if run.conjugates else None,
+                    det_min=float(np.min(run.dets[1:])) if len(run.dets) > 1 else 0.0,
+                    truncated=run.traj.truncated)
+            for i, q0, v0, run in zip(indices, q0s, v0s, _jacobi_runs(trajs))]
 
 
 def default_workers() -> int:

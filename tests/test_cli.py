@@ -113,6 +113,22 @@ def test_start_below_chart_floor_exits_2(tmp_path, capsys):
     assert "chart floor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("job", ["busemann", "spectrum", "length-spectrum", "isoperimetric",
+                                 "gap-constant"])
+def test_product_only_jobs_reject_other_kinds(tmp_path, capsys, job):
+    # these jobs read the Product L; a Warped spec carries L = 1 whatever the config says
+    files = {
+        "spectrum": f"sigma_file: {write(tmp_path, 'sigma.txt', '0.0')}\n",
+        "length-spectrum": f"generators_file: {write(tmp_path, 'gens.txt', GENS)}\n",
+    }
+    cfg = write(tmp_path, "w.cfg", f"kind: Warped\nL: 4\n{files.get(job, '')}")
+    out = tmp_path / "o"
+    assert main([job, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert job in err and "Product" in err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # backward Riccati through the warped focal point blows up
     cfg = write(tmp_path, "blow.cfg",

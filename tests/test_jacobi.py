@@ -32,7 +32,7 @@ from h2xr.jacobi import (
     _propagate_pair,
     _scan_chunk,
 )
-from h2xr.metrics import ChartPoint, MetricSpec, r_v_operator_many
+from h2xr.metrics import ChartPoint, MetricSpec, fiber, r_v_operator_many
 from oracles import riccati_from_jacobi
 
 PROD = MetricSpec.product(1.0)
@@ -263,7 +263,7 @@ def test_scan_rows_match_single_trajectory_runs(spec):
     for row, q0, v0 in zip(rows, q0s, v0s):
         tr = integrate_geodesic_batch(spec, q0[None], v0[None], Tmax, step)[0]
         run = propagate_jacobi(tr)
-        assert row.det_min == float(np.min(run.dets()[1:]))
+        assert row.det_min == float(np.min(run.dets[1:]))
         assert row.t_star == (run.conjugates[0] if run.conjugates else None)
 
 
@@ -322,7 +322,7 @@ def test_slanted_run_hits_simple_sign_change_root():
     assert t_star == pytest.approx(TSTAR_01, rel=0.05)
     tr = integrate_geodesic(spec, ORIGIN, v0, T=12.0, step=1e-3)
     run = propagate_jacobi(tr)
-    dets = run.dets()
+    dets = run.dets
     assert np.min(dets[1:]) < 0.0  # genuine sign change on this run
 
 
@@ -399,6 +399,23 @@ def test_riccati_average_warped_center_positive():
     expect = 2.0 * (ut * ut + OMEGA_01 * OMEGA_01)
     assert res.estimate == pytest.approx(expect, rel=1e-6)
     assert res.estimate > 0.0
+
+
+@pytest.mark.parametrize("spec, sampler", [(PROD, BoxSampler()),
+                                            (MetricSpec.warped(eps=0.1), PointSampler(ORIGIN))],
+                         ids=["product-box", "warped-center"])
+def test_riccati_average_rows_match_single_riccati_runs(spec, sampler):
+    n, seed, anchor, step = 4, 7, 3.0, 1e-3
+    res = riccati_average(spec, sampler, n=n, seed=seed, anchor=anchor, step=step)
+    rng = np.random.default_rng(seed)
+    pts = np.array([sampler(rng) for _ in range(n)])
+    assert res.n_samples == n
+    for p, value in zip(pts, res.values):
+        v0 = np.array([0.0, 0.0, 1.0 / fiber(spec, p[None])[0][0]])
+        tr = integrate_geodesic_batch(spec, p[None], v0[None], anchor, step)[0]
+        u0 = riccati_stable(tr, anchor).U[0]
+        rv = r_v_operator_many(spec, p[None])[0]
+        assert value == np.einsum("ij,ji->", u0, u0) + np.trace(rv)
 
 
 def test_riccati_average_rejects_nongeodesic_verticals():
