@@ -158,8 +158,7 @@ def _run_riccati_average(cfg: JobConfig):
     if p["sampler"] == "point":
         sampler = jacobi.PointSampler(_point(p))
     else:
-        (x0, x1), (y0, y1), (t0, t1) = _box(p)
-        sampler = jacobi.BoxSampler(x=(x0, x1), y=(y0, y1), t=(t0, t1))
+        sampler = jacobi.BoxSampler(*_box(p))
     res = jacobi.riccati_average(
         cfg.metric, sampler, n=p["N"], seed=p["seed"],
         anchor=p["anchor"], step=p["step"],

@@ -1,10 +1,9 @@
 """Job configuration: strict flat key/value schema, text or JSON encoding.
 
-A config is a flat mapping.  Metric fields (kind, L, eps, center_x,
-center_y, r0, r1, alpha, potential) are accepted for every job; each job
-then has its own parameter schema.  Unknown keys are rejected by name,
-out-of-range values are rejected by name, and defaults fill anything
-omitted, so load -> echo -> load is the identity.
+A config is a flat mapping: `kind`, that kind's metric keys only (see
+_KIND_SCHEMAS), then the job's own parameters.  Unknown keys, another
+kind's keys and out-of-range values are rejected by name, and defaults
+fill anything omitted, so load -> echo -> load is the identity.
 """
 
 from __future__ import annotations
@@ -23,16 +22,20 @@ def _positive(x):
 
 
 # (type, default, predicate or None, description of the constraint)
-_METRIC_SCHEMA = {
-    "kind": ("str", "Product", lambda s: s in KINDS, f"one of {KINDS}"),
-    "L": ("float", 1.0, _positive, "> 0"),
-    "eps": ("float", 0.1, _positive, "> 0"),
-    "center_x": ("float", 0.0, math.isfinite, "finite"),
-    "center_y": ("float", 1.0, _positive, "> 0"),
-    "r0": ("float", 0.5, _positive, "> 0"),
-    "r1": ("float", 0.75, _positive, "> 0"),
-    "alpha": ("float", 1e-3, math.isfinite, "finite"),
-    "potential": ("str", "log_y", None, ""),
+_KIND = {"kind": ("str", "Product", lambda s: s in KINDS, f"one of {KINDS}")}
+_KIND_SCHEMAS = {
+    "Product": {"L": ("float", 1.0, _positive, "> 0")},
+    "Warped": {
+        "eps": ("float", 0.1, _positive, "> 0"),
+        "center_x": ("float", 0.0, math.isfinite, "finite"),
+        "center_y": ("float", 1.0, _positive, "> 0"),
+        "r0": ("float", 0.5, _positive, "> 0"),
+        "r1": ("float", 0.75, _positive, "> 0"),
+    },
+    "Twisted": {
+        "alpha": ("float", 1e-3, math.isfinite, "finite"),
+        "potential": ("str", "log_y", None, ""),
+    },
 }
 
 _POINT = {
@@ -211,15 +214,14 @@ def build_config(data: dict, job: str | None = None) -> JobConfig:
     if job not in JOB_SCHEMAS:
         raise DomainError(f"unknown job {job!r}; expected one of {SUBCOMMANDS}")
 
-    schema = {**_METRIC_SCHEMA, **JOB_SCHEMAS[job]}
-    unknown = sorted(set(data) - set(schema))
-    if unknown:
-        raise DomainError(f"unknown config key {unknown[0]!r} for job {job!r}")
-
+    # an unknown kind has no keys of its own and fails the range check of 'kind'
+    kind = _parse_value("kind", "str", data.get("kind", _KIND["kind"][1]))
+    metric_schema = {**_KIND, **_KIND_SCHEMAS.get(kind, {})}
+    schema = {**metric_schema, **JOB_SCHEMAS[job]}
     values = {}
-    for key, (kind, default, check, constraint) in schema.items():
+    for key, (typ, default, check, constraint) in schema.items():
         if key in data:
-            val = _parse_value(key, kind, data[key])
+            val = _parse_value(key, typ, data[key])
         elif default is None:
             raise DomainError(f"config key {key!r} is required for job {job!r}")
         else:
@@ -228,13 +230,18 @@ def build_config(data: dict, job: str | None = None) -> JobConfig:
             raise DomainError(f"config key {key!r}: value {val!r} out of range ({constraint})")
         values[key] = val
 
-    if not values["r0"] < values["r1"]:
+    for key in sorted(set(data) - set(schema)):
+        owner = [k for k, keys in _KIND_SCHEMAS.items() if key in keys]
+        if owner:
+            raise DomainError(f"config key {key!r} belongs to kind {owner[0]!r}, not {kind!r}")
+        raise DomainError(f"unknown config key {key!r} for job {job!r}")
+    if kind == "Warped" and not values["r0"] < values["r1"]:
         raise DomainError("config key 'r0': must satisfy r0 < r1")
 
     metric = _build_metric(values)
     params = {k: values[k] for k in JOB_SCHEMAS[job]}
     echo = {"job": job}
-    echo.update({k: values[k] for k in _METRIC_SCHEMA})
+    echo.update({k: values[k] for k in metric_schema})
     echo.update(params)
     return JobConfig(job=job, metric=metric, params=params, echo=echo)
 

@@ -11,7 +11,10 @@ Warped and Twisted runs use a classical fixed-step RK4 on the combined
 state (q, v, e1, e2); the frame is transported in the same step so
 geodesic and frame stay phase locked.  Batches of initial conditions
 integrate simultaneously as (B, 12) arrays, which is what makes the
-large scans in the conjugate-point module affordable.
+large scans in the conjugate-point module affordable.  `_rk4_step`, the
+package's one RK4 step, also steps `jacobi`'s (A, A') and Riccati U; its
+f(y, i) gets the stage node i = 0, 1, 1, 2 (start, midpoint, midpoint,
+end), which the autonomous geodesic flow ignores.
 
 Either way the samples sit on the same time grid.  A start at or below
 Y_FLOOR is rejected; a trajectory is cut before its first sample with
@@ -129,12 +132,13 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_step(spec: MetricSpec, state: np.ndarray, h: float) -> np.ndarray:
-    k1 = _rhs(spec, state)
-    k2 = _rhs(spec, state + (0.5 * h) * k1)
-    k3 = _rhs(spec, state + (0.5 * h) * k2)
-    k4 = _rhs(spec, state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of y' = f(y, i), i = 0, 1, 1, 2 the stage nodes (see above)."""
+    k1 = f(y, 0)
+    k2 = f(y + (0.5 * h) * k1, 1)
+    k3 = f(y + (0.5 * h) * k2, 1)
+    k4 = f(y + h * k3, 2)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rk4_rows(spec, state, times):
@@ -149,7 +153,8 @@ def _rk4_rows(spec, state, times):
     for k in range(n_steps):
         h = float(times[k + 1] - times[k])
         # one trajectory steps as a single state vector (see _rhs)
-        new = _rk4_step(spec, state[0] if B == 1 else state, h).reshape(B, dim)
+        y = state[0] if B == 1 else state
+        new = _rk4_step(lambda y, _: _rhs(spec, y), y, h).reshape(B, dim)
         if not np.isfinite(new[active]).all():
             bad = np.where(active & ~np.all(np.isfinite(new), axis=1))[0]
             raise NumericsError("non-finite integrator state", rows=bad.tolist(), time=times[k])

@@ -18,13 +18,15 @@ with P = c c^T / sigma^2 the propagator is A = t (I - P) + (sinh(sigma t)
 / sigma) P, det A = t sinh(sigma t) / sigma > 0 (no conjugate points), and
 the stable tensor is U = -sigma tanh(sigma (T - t)) P.
 
-Warped and Twisted runs step RK4 on the sample grid.  R_perp comes in
-closed form from the warped-product fiber kernel at the trajectory
-samples; the RK4 stages between samples take it from four-point Lagrange
-interpolation on the nearest samples, which keeps both propagators fourth
-order.  Between samples, A(t) is the cubic Hermite interpolant of (A, A')
-at the two ends; root refinement runs on that dense output, with no
-re-integration.  The Product/RK4 choice is made only in `_propagators`
+Warped and Twisted runs step RK4 on the sample grid with the geodesic
+flow's own step, `geodesics._rk4_step`: (A, A') steps as one stacked
+state and U as another.  R_perp comes in closed form from the
+warped-product fiber kernel at the samples, the stage nodes i = 0 and 2
+of a step; the midpoint stages (i = 1) take it from four-point Lagrange
+interpolation on the nearest samples, which keeps both propagators
+fourth order.  Between samples, A(t) is the cubic Hermite interpolant of
+(A, A') at the two ends; root refinement runs on that dense output, with
+no re-integration.  The Product/RK4 choice is made only in `_propagators`
 (A, A') and `_stable_tensors` (U); every entry point reads one of them.
 """
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .geodesics import Trajectory, integrate_geodesic_batch
+from .geodesics import Trajectory, _rk4_step, integrate_geodesic_batch
 from .metrics import (
     ChartPoint,
     MetricSpec,
@@ -57,6 +59,8 @@ _TANGENT_TRIGGER_FLOOR = 1e-8
 # steps whose midpoint R_perp is interpolated at once
 _MIDPOINT_SLAB = 1024
 SCAN_CHUNK = 32
+_VERTICAL_GEODESIC_TOL = 1e-8
+_RAUCH_CASES = ((1.0, 0.0), (0.0, 1.0), (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def _midpoint_rperp(times, rperp, counts, lo, hi):
 
 
 def _steps(times, rperp, counts, k_from, k_to):
-    """(k, k2, h, midpoint R_perp) per step from sample k_from to k_to, a slab at a time."""
+    """(k2, h, R_perp at nodes 0, 1, 2: k, midpoint, k2) per step k -> k2, a slab at a time."""
     if counts is None:
         counts = np.full(rperp.shape[0], len(times))
     direction = 1 if k_to >= k_from else -1
@@ -191,7 +195,7 @@ def _steps(times, rperp, counts, k_from, k_to):
         rm = _midpoint_rperp(times, rperp, counts, lo, lo + len(block))
         for k in block:
             k2 = k + direction
-            yield k, k2, times[k2] - times[k], rm[:, min(k, k2) - lo]
+            yield k2, times[k2] - times[k], (rperp[:, k], rm[:, min(k, k2) - lo], rperp[:, k2])
 
 
 def _propagate_pair(times, rperp, A0, Ap0, k_from, k_to, counts=None):
@@ -201,27 +205,20 @@ def _propagate_pair(times, rperp, A0, Ap0, k_from, k_to, counts=None):
     A0, Ap0 broadcast to (B, 2, 2).  Returns (A, Ap) shaped like rperp,
     filled on the indices between k_from and k_to inclusive.
     """
-    A = np.full(rperp.shape, np.nan)
-    Ap = np.full(rperp.shape, np.nan)
-    a = np.broadcast_to(A0, A[:, 0].shape).copy()
-    ap = np.broadcast_to(Ap0, A[:, 0].shape).copy()
-    A[:, k_from] = a
-    Ap[:, k_from] = ap
-    for k, k2, h, rm in _steps(times, rperp, counts, k_from, k_to):
-        r0 = rperp[:, k]
-        r1 = rperp[:, k2]
-        k1a, k1p = ap, -(r0 @ a)
-        a2 = a + (0.5 * h) * k1a
-        k2a, k2p = ap + (0.5 * h) * k1p, -(rm @ a2)
-        a3 = a + (0.5 * h) * k2a
-        k3a, k3p = ap + (0.5 * h) * k2p, -(rm @ a3)
-        a4 = a + h * k3a
-        k4a, k4p = ap + h * k3p, -(r1 @ a4)
-        a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        ap = ap + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        A[:, k2] = a
-        Ap[:, k2] = ap
-    return A, Ap
+    out = np.full((2,) + rperp.shape, np.nan)
+    out[0, :, k_from], out[1, :, k_from] = A0, Ap0
+    y = out[:, :, k_from].copy()        # the stacked state (A, A')
+
+    def f(y, i):   # (A', -R A), R = R_perp of the current step at node i
+        d = np.empty_like(y)
+        d[0] = y[1]
+        np.negative(r[i] @ y[0], out=d[1])
+        return d
+
+    for k2, h, r in _steps(times, rperp, counts, k_from, k_to):
+        y = _rk4_step(f, y, h)
+        out[:, :, k2] = y
+    return out[0], out[1]
 
 
 def _hermite(times, A, Ap, t):
@@ -345,13 +342,12 @@ def wronskian_drift(run: JacobiRun) -> float:
     return float(np.max(np.abs(w - w[0])))
 
 
-def first_conjugate_point(spec: MetricSpec, q0: ChartPoint, v0, Tmax: float,
-                          step: float = 1e-3):
+def first_conjugate_point(spec: MetricSpec, q0: ChartPoint, v0, Tmax: float):
     """Smallest refined t* in (0, Tmax] with det A(t*) = 0, else None."""
     if not Tmax > 0.0:
         raise DomainError(f"Tmax must be > 0, got {Tmax}")
     traj = integrate_geodesic_batch(spec, q0.as_array()[None, :],
-                                    np.asarray(v0, float)[None, :], Tmax, step)[0]
+                                    np.asarray(v0, float)[None, :], Tmax)[0]
     run = propagate_jacobi(traj)
     return run.conjugates[0] if run.conjugates else None
 
@@ -360,23 +356,19 @@ def first_conjugate_point(spec: MetricSpec, q0: ChartPoint, v0, Tmax: float,
 # Riccati
 # ---------------------------------------------------------------------------
 
-def _riccati_backward(times, rperp, k_anchor, blowup=RICCATI_BLOWUP):
+def _riccati_backward(times, rperp, k_anchor):
     """Integrate U' = -U^2 - R backward from U = 0 at sample k_anchor; rperp is (B, N, 2, 2)."""
     U = np.full(rperp.shape, np.nan)
     u = np.zeros(rperp.shape[:1] + (2, 2))
     U[:, k_anchor] = u
-    for k, j, h, rm in _steps(times, rperp, None, k_anchor, 0):
-        r1 = rperp[:, k]
-        r0 = rperp[:, j]
-        k1 = -(u @ u) - r1
-        u2 = u + 0.5 * h * k1
-        k2 = -(u2 @ u2) - rm
-        u3 = u + 0.5 * h * k2
-        k3 = -(u3 @ u3) - rm
-        u4 = u + h * k3
-        k4 = -(u4 @ u4) - r0
-        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.max(np.abs(u)) > blowup or not np.all(np.isfinite(u)):
+
+    def f(u, i):
+        return -(u @ u) - r[i]
+
+    for j, h, r in _steps(times, rperp, None, k_anchor, 0):
+        u = _rk4_step(f, u, h)
+        # one NaN-safe test: over the bound, inf and nan all fail it
+        if not np.max(np.abs(u)) <= RICCATI_BLOWUP:
             raise NumericsError("focal blow-up in backward Riccati integration",
                                 time=float(times[j]))
         U[:, j] = u
@@ -388,8 +380,7 @@ def _anchor_index(traj: Trajectory, T_anchor: float) -> int:
         raise DomainError(
             f"anchor {T_anchor} outside the trajectory range (0, {traj.T}]"
         )
-    k = int(np.argmin(np.abs(traj.times - T_anchor)))
-    return k
+    return int(np.argmin(np.abs(traj.times - T_anchor)))
 
 
 def _stable_tensors(trajs, k):
@@ -470,12 +461,11 @@ class RiccatiAverage:
 
 
 def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
-                    anchor: float = 20.0, step: float = 1e-2,
-                    geodesic_tol: float = 1e-8) -> RiccatiAverage:
+                    anchor: float = 20.0, step: float = 1e-2) -> RiccatiAverage:
     """Monte Carlo mean of Tr(U_s^2 + R_V) over sampled vertical geodesics.
 
-    Sampled base points whose vertical curve is not a geodesic (fiber
-    scale has nonzero gradient) are rejected; more than 50% rejections
+    Sampled base points whose vertical curve is not a geodesic (|grad phi|_g
+    above _VERTICAL_GEODESIC_TOL) are rejected; more than 50% rejections
     aborts.  U_s is the zero-anchored backward solution at the given
     anchor, evaluated at t = 0.
     """
@@ -485,7 +475,7 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
     pts = np.array([sampler(rng) for _ in range(n)])
     phi, (dphi_x, dphi_y) = fiber(spec, pts)
     grad = pts[:, 1] * np.hypot(dphi_x, dphi_y)  # |grad phi|_g
-    keep = grad <= geodesic_tol
+    keep = grad <= _VERTICAL_GEODESIC_TOL
     n_rej = int(n - keep.sum())
     if n_rej > 0.5 * n:
         raise NumericsError(
@@ -528,11 +518,10 @@ class RauchReport:
     max_violation: float
 
 
-def rauch_check(run: JacobiRun, k_min: float,
-                cases=((1.0, 0.0), (0.0, 1.0), (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))) -> RauchReport:
+def rauch_check(run: JacobiRun, k_min: float) -> RauchReport:
     """Split-metric Jacobi comparison for fields with J(0) != 0, J'(0) = 0.
 
-    For each case J(0) = jh0 e1 + jv0 e2 the squared norm is compared to
+    For each J(0) = jh0 e1 + jv0 e2 of _RAUCH_CASES the squared norm is compared to
     jh0_h^2 cosh^2(sqrt(-k_min) t) + (jv(0) + jv'(0) t)^2, where jv is the
     fiber component of J; the vertical term carries the field's own
     initial data, which for these fields makes it constant.
@@ -547,8 +536,7 @@ def rauch_check(run: JacobiRun, k_min: float,
     om = math.sqrt(max(-k_min, 0.0))
     t = traj.times
     out = []
-    worst = 0.0
-    for jh0, jv0 in cases:
+    for jh0, jv0 in _RAUCH_CASES:
         j0 = np.array([jh0, jv0])
         coeff = B @ j0                       # (N, 2) frame components
         jvec = coeff[:, :1] * traj.e1 + coeff[:, 1:] * traj.e2
@@ -558,8 +546,7 @@ def rauch_check(run: JacobiRun, k_min: float,
         bound = jh2_0 * np.cosh(om * t) ** 2 + jv[0] ** 2
         margin = (jn2 - bound) / np.maximum(bound, 1e-30)
         out.append(RauchCase(jh0, jv0, float(np.min(margin)), float(np.max(np.abs(margin)))))
-        worst = max(worst, max(0.0, -float(np.min(margin))))
-    return RauchReport(cases=out, max_violation=worst)
+    return RauchReport(cases=out, max_violation=max(0.0, -min(c.min_margin_rel for c in out)))
 
 
 def fit_frequency(times, values) -> float:

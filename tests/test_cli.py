@@ -50,6 +50,27 @@ def test_config_unknown_key_named():
         build_config({"kind": "Warped", "warp_eps": "0.1"}, "jacobi")
 
 
+@pytest.mark.parametrize("kind, key", [("Warped", "L"), ("Warped", "alpha"),
+                                       ("Product", "r0"), ("Product", "potential"),
+                                       ("Twisted", "eps"), ("Twisted", "L")])
+def test_config_rejects_other_kinds_metric_keys(tmp_path, capsys, kind, key):
+    # a key the kind never reads is an error, not a silently echoed value
+    cfg = write(tmp_path, "k.cfg", f"kind: {kind}\n{key}: 0.8\nT: 0.01\n")
+    out = tmp_path / "o"
+    assert main(["jacobi", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and repr(kind) in err
+    assert not out.exists()
+
+
+def test_config_echo_lists_only_the_kinds_keys():
+    echo = build_config({"kind": "Twisted", "alpha": "0.01"}, "jacobi").echo
+    metric = [k for k in echo if k in ("kind", "L", "eps", "center_x", "center_y",
+                                       "r0", "r1", "alpha", "potential")]
+    assert metric == ["kind", "alpha", "potential"]
+    assert build_config({"kind": "Product", "L": "2"}, "jacobi").metric.L == 2.0
+
+
 def test_config_job_mismatch_rejected():
     with pytest.raises(DomainError, match="subcommand"):
         build_config({"job": "jacobi"}, "spectrum")
@@ -121,7 +142,7 @@ def test_product_only_jobs_reject_other_kinds(tmp_path, capsys, job):
         "spectrum": f"sigma_file: {write(tmp_path, 'sigma.txt', '0.0')}\n",
         "length-spectrum": f"generators_file: {write(tmp_path, 'gens.txt', GENS)}\n",
     }
-    cfg = write(tmp_path, "w.cfg", f"kind: Warped\nL: 4\n{files.get(job, '')}")
+    cfg = write(tmp_path, "w.cfg", f"kind: Warped\n{files.get(job, '')}")
     out = tmp_path / "o"
     assert main([job, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err

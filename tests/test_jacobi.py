@@ -30,6 +30,7 @@ from h2xr.jacobi import (
     _product_propagators,
     _product_riccati,
     _propagate_pair,
+    _riccati_backward,
     _scan_chunk,
 )
 from h2xr.metrics import ChartPoint, MetricSpec, fiber, r_v_operator_many
@@ -379,6 +380,17 @@ def test_riccati_blowup_error():
     assert exc.value.info["time"] > 0.0
 
 
+@pytest.mark.parametrize("r", [2e6, -2e6, math.nan])
+def test_riccati_guard_stops_at_the_first_bad_step(r):
+    # one sample's R_perp over the bound, or nan, spoils U on the step that reads it
+    times = np.linspace(0.0, 1.0, 11)
+    rperp = np.zeros((1, 11, 2, 2))
+    rperp[0, 5, 0, 0] = r
+    with pytest.raises(NumericsError, match="blow-up") as exc:
+        _riccati_backward(times, rperp, 10)
+    assert exc.value.info["time"] == times[6]
+
+
 def test_riccati_average_product_zero_and_deterministic():
     res = riccati_average(PROD, BoxSampler(), n=25, seed=5, anchor=5.0, step=1e-2)
     assert abs(res.estimate) <= 1e-8
@@ -444,9 +456,9 @@ def test_rauch_rejects_non_product():
 def test_normal_curvature_constant_blocks():
     tr = horizontal_run(T=2.0)
     rp = normal_curvature_samples(tr)
-    assert np.max(np.abs(rp[:, 0, 0] + 1.0)) <= 1e-6   # in-surface normal: K = -1
-    assert np.max(np.abs(rp[:, 1, 1])) <= 1e-8          # vertical: flat
-    assert np.max(np.abs(rp[:, 0, 1])) <= 1e-8
+    assert np.max(np.abs(rp[:, 0, 0] + 1.0)) <= 1e-14  # in-surface normal: K = -1
+    assert np.all(rp[:, 1, 1] == 0.0)                   # vertical: flat
+    assert np.all(rp[:, 0, 1] == 0.0)
 
 
 def test_first_conjugate_rejects_bad_tmax():

@@ -1,0 +1,108 @@
+"""Check that two source trees write byte-identical data CSVs.
+
+    python3 tools/same_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are the `src` directories of two checkouts, e.g. a
+`git archive` of the parent commit and the working tree.  Every job of
+JOBS runs once per tree as `python -m h2xr.cli` in a fresh process, with
+PYTHONPATH set to that tree and the job's H2XR_WORKERS.  The scans run at
+one and at two workers.  One line is printed per job; the exit status is
+0 when every job exits with the same code in both trees and writes the
+same CSV files with the same bytes, and 1 otherwise.  manifest.json is
+not compared: it holds wall times and versions.  A full run takes a few
+minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_CENTRAL = "kind: Warped\neps: 0.1\nv0_x: 0\nv0_t: 1\n"
+_SLANTED = "kind: Warped\neps: 0.1\nq0_x: 0.1\nq0_y: 0.9\nv0_x: 0.3\nv0_y: 0.2\nv0_t: 1\n"
+
+# (label, subcommand, config text, H2XR_WORKERS)
+JOBS = [
+    ("jacobi-warped-central", "jacobi", _CENTRAL + "T: 10\n", 1),
+    ("jacobi-warped-slanted", "jacobi", _SLANTED + "T: 8\n", 1),
+    ("jacobi-twisted-x", "jacobi",
+     "kind: Twisted\npotential: x\nalpha: 0.05\nv0_x: 1\nv0_y: 0.3\nv0_t: 0.5\nT: 5\n", 1),
+    ("jacobi-twisted-log_y", "jacobi",
+     "kind: Twisted\nalpha: 0.05\nv0_x: 1\nv0_y: 0.3\nv0_t: 0.5\nT: 5\n", 1),
+    ("riccati-stable-warped", "riccati-stable", _SLANTED + "T: 8\nanchor: 4\n", 1),
+    ("riccati-stable-twisted", "riccati-stable",
+     "kind: Twisted\npotential: x\nalpha: 0.05\nv0_x: 0.2\nv0_t: 0.5\nT: 8\nanchor: 4\n", 1),
+    ("riccati-average-warped-point", "riccati-average",
+     "kind: Warped\neps: 0.1\nsampler: point\nN: 4\nanchor: 3\n", 1),
+    *((f"scan-{name}-w{w}", "scan-conjugate", text, w)
+      for name, text in (
+          ("product", "kind: Product\ncount: 40\nTmax: 20\n"),
+          ("warped", "kind: Warped\neps: 0.4\ncount: 40\nTmax: 12\n"),
+          ("twisted", "kind: Twisted\npotential: x\nalpha: 0.05\ncount: 40\nTmax: 10\n"),
+      )
+      for w in (1, 2)),
+    ("ledger-seed-0", "ledger", "seed: 0\n", 1),
+]
+
+
+def run_job(src: Path, workdir: Path, subcommand: str, config: str, workers: int):
+    """Run one job against src; returns (exit code, stderr, {csv name: bytes})."""
+    workdir.mkdir(parents=True)
+    cfg = workdir / "job.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = workdir / "out"
+    env = dict(os.environ, PYTHONPATH=str(src), H2XR_WORKERS=str(workers))
+    proc = subprocess.run(
+        [sys.executable, "-m", "h2xr.cli", subcommand, "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    csvs = {p.name: p.read_bytes() for p in out.glob("*.csv")} if out.is_dir() else {}
+    return proc.returncode, proc.stderr.strip(), csvs
+
+
+def compare(old, new) -> list[str]:
+    """Differences between two run_job results, one message each."""
+    (code_a, err_a, csv_a), (code_b, err_b, csv_b) = old, new
+    problems = []
+    if code_a != code_b:
+        problems.append(f"exit {code_a} -> {code_b} ({err_a or err_b})")
+    for name in sorted(set(csv_a) | set(csv_b)):
+        if name not in csv_a or name not in csv_b:
+            problems.append(f"{name} written by one tree only")
+            continue
+        a, b = csv_a[name].splitlines(), csv_b[name].splitlines()
+        if a != b:
+            k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            problems.append(f"{name} differs from line {k + 1}")
+    return problems
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/same_outputs.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    for tree in trees:
+        if not (tree / "h2xr" / "cli.py").is_file():
+            print(f"{tree}: not an h2xr source tree (no h2xr/cli.py)", file=sys.stderr)
+            return 2
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        for label, subcommand, config, workers in JOBS:
+            old, new = (run_job(tree, Path(tmp) / side / label, subcommand, config, workers)
+                        for side, tree in zip(("old", "new"), trees))
+            problems = compare(old, new)
+            if not problems and old[0] != 0:
+                problems = [f"both trees exit {old[0]} ({old[1]})"]
+            failed += bool(problems)
+            status = "; ".join(problems) if problems else f"same ({len(old[2])} CSV)"
+            print(f"{label:32s} {status}", flush=True)
+    print(f"{len(JOBS) - failed} of {len(JOBS)} jobs byte-identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
