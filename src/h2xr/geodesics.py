@@ -11,7 +11,10 @@ Warped and Twisted runs use a classical fixed-step RK4 on the combined
 state (q, v, e1, e2); the frame is transported in the same step so
 geodesic and frame stay phase locked.  Batches of initial conditions
 integrate simultaneously as (B, 12) arrays, which is what makes the
-large scans in the conjugate-point module affordable.  `_rk4_step`, the
+large scans in the conjugate-point module affordable.  A lone row
+(B = 1) steps through the same `_rk4_step`, but its derivative comes
+from `_rhs_one` on Python floats: numpy's per-call cost on 1-element
+arrays would be most of its step.  `_rk4_step`, the
 package's one RK4 step, also steps `jacobi`'s (A, A') and Riccati U; its
 f(y, i) gets the stage node i = 0, 1, 1, 2 (start, midpoint, midpoint,
 end), which the autonomous geodesic flow ignores.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .metrics import ChartPoint, MetricSpec, _fiber, metric_many
+from .metrics import ChartPoint, MetricSpec, _fiber, _fiber_point, metric_many
 
 DEFAULT_STEP = 1e-3
 Y_FLOOR = 1e-6
@@ -100,17 +103,18 @@ def initial_frame(spec: MetricSpec, q: ChartPoint, v) -> tuple[np.ndarray, np.nd
 
 
 def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
-    """Derivative of (q, v, transported vectors): one state (dim,) or a batch (B, dim).
+    """Derivative of (q, v, transported vectors) for a batch state (B, 12).
 
     Fused closed-form contractions of the warped-product connection: the
     hyperbolic base block, plus the fiber coupling terms fed by (phi, dphi)
     from the fiber kernel.  Only Warped and Twisted runs step through it;
-    Product runs take the exact flow of _product_row.
+    Product runs take the exact flow of _product_row.  Components are read
+    through state.T, so s[i] is a (B,) row and the transported vectors'
+    x, y, t parts s[3::3], s[4::3], s[5::3] are (3, B).
 
-    Components are read through state.T: s[i] is a numpy scalar for one
-    state and a (B,) row for a batch, and the transported vectors' x, y, t
-    parts s[3::3], s[4::3], s[5::3] are (nvec,) or (nvec, B).  One
-    trajectory therefore costs scalar arithmetic, not 1-element array calls.
+    A lone row steps through _rhs_one instead, which repeats these
+    operations in the same order on floats, so a row gets the same bits
+    alone as in a batch.
     """
     s = state.T
     out = np.empty_like(state)
@@ -123,12 +127,29 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
     # hyperbolic base block: -Gamma^x = (vx wy + vy wx)/y, etc.
     dwx = (vx * wy + vy * wx) * inv_y
     dwy = (vy * wy - vx * wx) * inv_y
-    f, (dfx, dfy) = _fiber(spec, state[..., 0:3])
+    f, (dfx, dfy) = _fiber(spec, state[:, 0:3])
     vtwt = vt * wt
     y2f = y * y * f
     o[3::3] = dwx + y2f * dfx * vtwt
     o[4::3] = dwy + y2f * dfy * vtwt
     o[5::3] = -(dfx * (vx * wt + vt * wx) + dfy * (vy * wt + vt * wy)) / f
+    return out
+
+
+def _rhs_one(fiber, s: list) -> list:
+    """_rhs of one state given as 12 floats; fiber is metrics._fiber_point(spec)."""
+    x, y, _, vx, vy, vt = s[:6]
+    inv_y = 1.0 / y
+    f, dfx, dfy = fiber(x, y)
+    y2f = y * y * f
+    out = [vx, vy, vt]
+    for i in (3, 6, 9):  # v, e1, e2
+        wx, wy, wt = s[i:i + 3]
+        dwx = (vx * wy + vy * wx) * inv_y
+        dwy = (vy * wy - vx * wx) * inv_y
+        vtwt = vt * wt
+        out += (dwx + y2f * dfx * vtwt, dwy + y2f * dfy * vtwt,
+                -(dfx * (vx * wt + vt * wx) + dfy * (vy * wt + vt * wy)) / f)
     return out
 
 
@@ -142,32 +163,46 @@ def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _rk4_rows(spec, state, times):
-    """RK4 through the sample times; returns (q, v, e1, e2) per row of state (B, 12)."""
+    """RK4 through the sample times; returns (q, v, e1, e2) per row of state (B, 12).
+
+    A row that leaves the finite range raises NumericsError; the inf and
+    nan on the way there are expected, so numpy does not warn about them.
+    """
     B, dim = state.shape
+    if B == 1:
+        fiber = _fiber_point(spec)
+
+        def f(y, _):
+            try:
+                return np.array([_rhs_one(fiber, y[0].tolist())])
+            except ArithmeticError:  # a float divided by zero: numpy gives inf or nan
+                return np.full_like(y, np.nan)
+    else:
+        def f(y, _):
+            return _rhs(spec, y)
     n_steps = len(times) - 1
     samples = np.empty((B, n_steps + 1, dim))
     samples[:, 0] = state
     active = np.ones(B, dtype=bool)
     counts = np.full(B, n_steps + 1)  # samples kept per row
 
-    for k in range(n_steps):
-        h = float(times[k + 1] - times[k])
-        # one trajectory steps as a single state vector (see _rhs)
-        y = state[0] if B == 1 else state
-        new = _rk4_step(lambda y, _: _rhs(spec, y), y, h).reshape(B, dim)
-        if not np.isfinite(new[active]).all():
-            bad = np.where(active & ~np.all(np.isfinite(new), axis=1))[0]
-            raise NumericsError("non-finite integrator state", rows=bad.tolist(), time=times[k])
-        crossed = active & (new[:, 1] <= Y_FLOOR)
-        if crossed.any():
-            counts[crossed] = k + 1
-            active &= ~crossed
-            if not active.any():
-                break
-        if not active.all():
-            new = np.where(active[:, None], new, state)  # finished rows stay put
-        state = new
-        samples[:, k + 1] = new
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n_steps):
+            h = float(times[k + 1] - times[k])
+            new = _rk4_step(f, state, h)
+            if not np.isfinite(new[active]).all():
+                bad = np.where(active & ~np.all(np.isfinite(new), axis=1))[0]
+                raise NumericsError("non-finite integrator state", rows=bad.tolist(), time=times[k])
+            crossed = active & (new[:, 1] <= Y_FLOOR)
+            if crossed.any():
+                counts[crossed] = k + 1
+                active &= ~crossed
+                if not active.any():
+                    break
+            if not active.all():
+                new = np.where(active[:, None], new, state)  # finished rows stay put
+            state = new
+            samples[:, k + 1] = new
 
     return [tuple(samples[b, :counts[b], i:i + 3].copy() for i in (0, 3, 6, 9))
             for b in range(B)]

@@ -65,10 +65,15 @@ class ChartPoint:
 # ---------------------------------------------------------------------------
 
 def _smoothstep5(u):
-    """Quintic smoothstep with two vanishing derivatives at both ends."""
+    """Quintic smoothstep with two vanishing derivatives at both ends.
+
+    Takes an array or a float; both give the same bits, since numpy
+    squares an array by one multiplication.
+    """
     s = u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-    ds = 30.0 * u * u * (1.0 - u) ** 2
-    dds = 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
+    v = 1.0 - u
+    ds = 30.0 * u * u * (v * v)
+    dds = 60.0 * u * v * (1.0 - 2.0 * u)
     return s, ds, dds
 
 
@@ -121,6 +126,23 @@ class WarpProfile:
         fpp = np.where(outside, 0.0, fpp)
         return f, fp, fpp
 
+    def _eval_one(self, r: float):
+        """(f, f') at one radius r as floats, bit-identical to eval_many.
+
+        Branches on cap, blend and outside where eval_many clips and masks;
+        in the cap eval_many's w == 1 and dw == -0.0 leave f and f' exact.
+        """
+        dev = self.eps * (0.5 - r * r)
+        ddev = -2.0 * self.eps * r
+        if not r > self.r0:
+            return 1.0 + dev, ddev
+        if r >= self.r1:
+            return 1.0, 0.0
+        width = self.r1 - self.r0
+        s, ds, _ = _smoothstep5((r - self.r0) / width)
+        w = 1.0 - s
+        return 1.0 + dev * w, ddev * w + dev * (-ds / width)
+
 
 # ---------------------------------------------------------------------------
 # twisted potentials
@@ -130,7 +152,8 @@ class WarpProfile:
 class Potential:
     """Analytic potential h(x, y) with its closed-form derivatives.
 
-    All three take coordinate arrays x, y of one shape.  fn returns h;
+    All three take coordinate arrays x, y of one shape (numpy scalars
+    when a lone trajectory steps).  fn returns h;
     grad the coordinate partials (h_x, h_y), each shaped like x; hess the
     covariant Hessian on H^2 in lowered coordinates, shape x.shape + (2, 2),
     i.e. d_a d_b h - Gamma^c_ab d_c h with the hyperbolic Christoffels.
@@ -277,6 +300,43 @@ def _fiber(spec: MetricSpec, q: np.ndarray):
         raise DomainError("shear factor 1 + alpha h reached zero in batch")
     hx, hy = pot.grad(x, y)
     return phi, (spec.alpha * hx, spec.alpha * hy)
+
+
+def _fiber_point(spec: MetricSpec):
+    """_fiber at one point on floats: returns (x, y) -> (phi, d_x phi, d_y phi).
+
+    For the RK4 kinds, Warped and Twisted.  The kind dispatch and the
+    potential lookup happen here, once; the returned function repeats
+    _fiber's operations in the same order on Python floats, so its values
+    are the same bits, except that a float divided by zero raises
+    ZeroDivisionError where numpy gives inf or nan.
+    """
+    if spec.kind == "Twisted":
+        pot, alpha = get_potential(spec.potential), spec.alpha
+
+        def twisted(x, y):
+            x, y = np.float64(x), np.float64(y)
+            phi = 1.0 + alpha * float(pot.fn(x, y))
+            if phi <= 0.0:
+                raise DomainError("shear factor 1 + alpha h reached zero in batch")
+            hx, hy = pot.grad(x, y)
+            return phi, alpha * float(hx), alpha * float(hy)
+        return twisted
+
+    profile = spec.warp
+    cx, cy = profile.center.x, profile.center.y
+
+    def warped(x, y):
+        # _warp_radius_and_grad, then eval_many's f and f'
+        dx = x - cx
+        dy = y - cy
+        u = (dx * dx + dy * dy) / (2.0 * cy * y)
+        uu = u * (u + 2.0)
+        root = math.sqrt(uu) if uu >= 0.0 else math.nan  # y < 0 at an RK4 stage
+        f, fp = profile._eval_one(float(np.log1p(u + root)))
+        inv = 1.0 / root if root > 1e-30 else 0.0
+        return f, fp * (dx / (cy * y) * inv), fp * ((dy / (cy * y) - u / y) * inv)
+    return warped
 
 
 def fiber(spec: MetricSpec, q):

@@ -160,6 +160,20 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+def test_riccati_average_warped_runs_at_the_bump_centre(tmp_path, capsys):
+    # the documented Warped setting: the default box rejects most vertical
+    # curves (exit 3), and the default anchor 20 lies past the conjugate
+    # distance 7.2; at the bump centre with anchor 3 every sample is kept
+    cfg = write(tmp_path, "box.cfg", "kind: Warped\n")
+    assert main(["riccati-average", "--config", str(cfg), "--out", str(tmp_path / "box")]) == 3
+    assert "not geodesics" in capsys.readouterr().err
+    cfg = write(tmp_path, "point.cfg", "kind: Warped\nsampler: point\nanchor: 3\n")
+    out = tmp_path / "point"
+    assert main(["riccati-average", "--config", str(cfg), "--out", str(out)]) == 0
+    header, row = (out / "riccati_average.csv").read_text().splitlines()
+    assert row.endswith(",100,0")
+
+
 def test_ledger_claim_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     from h2xr import claims, jacobi
 

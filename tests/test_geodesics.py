@@ -5,13 +5,14 @@ metric, whose geodesics still step through RK4.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from h2xr import geodesics
 from h2xr.errors import DomainError, NumericsError
-from h2xr.hyperbolic import HPoint, MobiusElement, mobius_apply
+from h2xr.hyperbolic import HPoint, MobiusElement, hyp_distance, mobius_apply
 from h2xr.geodesics import (
     frame_gram_error,
     initial_frame,
@@ -168,22 +169,56 @@ def test_unit_speed_validation():
 
 
 def test_batch_matches_single():
-    # one trajectory steps as a single state vector, a batch as rows: the
-    # arithmetic must be the same, bit for bit (the warped pair starts
-    # inside and outside the warp's cap)
-    q0s = np.array([[0.0, 1.0, 0.0], [0.4, 1.5, 0.2]])
-    for spec in (PROD, WARP):
-        v0s = np.array([
-            unit_vector(spec, ChartPoint(*q0s[0]), [1, 0, 0.4]),
-            unit_vector(spec, ChartPoint(*q0s[1]), [0.2, 1, -0.3]),
-        ])
-        batch = integrate_geodesic_batch(spec, q0s, v0s, T=1.0, step=1e-3)
-        for b in range(2):
-            single = integrate_geodesic(spec, ChartPoint(*q0s[b]), v0s[b], T=1.0, step=1e-3)
-            assert np.array_equal(single.q, batch[b].q)
-            assert np.array_equal(single.v, batch[b].v)
-            assert np.array_equal(single.e1, batch[b].e1)
-            assert np.array_equal(single.e2, batch[b].e2)
+    # a lone trajectory steps on Python floats, a batch through the array
+    # kernel: the arithmetic must be the same, bit for bit and sign of zero
+    # included.  The rows start inside and outside the warp's cap, and the
+    # third crosses the blend annulus r0 < rho < r1 and leaves the ball.
+    q0s = np.array([[0.0, 1.0, 0.0], [0.4, 1.5, 0.2], [0.1, 0.9, 0.0]])
+    directions = ([1, 0, 0.4], [0.2, 1, -0.3], [0.3, 0.2, 1])
+    for spec in (PROD, WARP, MetricSpec.twisted(1e-3, "x"), MetricSpec.twisted(0.05, "log_y")):
+        v0s = np.array([unit_vector(spec, ChartPoint(*q), d) for q, d in zip(q0s, directions)])
+        batch = integrate_geodesic_batch(spec, q0s, v0s, T=3.0, step=1e-3)
+        if spec is WARP:
+            rho = [hyp_distance(HPoint(0.0, 1.0), HPoint(x, y)) for x, y in batch[2].q[:, :2]]
+            assert rho[0] < WARP.warp.r0 and rho[-1] > WARP.warp.r1
+        for b in range(3):
+            single = integrate_geodesic(spec, ChartPoint(*q0s[b]), v0s[b], T=3.0, step=1e-3)
+            for field in ("q", "v", "e1", "e2"):
+                a, c = getattr(single, field), getattr(batch[b], field)
+                assert np.array_equal(a, c), (spec, b, field)
+                assert np.array_equal(np.signbit(a), np.signbit(c)), (spec, b, field)
+
+
+def test_lone_warped_row_truncates_like_a_batch():
+    # far outside the warp ball the metric is the product, so heading
+    # straight down y = e^-t meets the chart floor near t = 13.8: at the
+    # same sample alone and in a batch
+    q0s = np.array([[5.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    v0s = np.array([unit_vector(WARP, ChartPoint(*q0s[0]), [0, -1, 0]),
+                    unit_vector(WARP, ChartPoint(*q0s[1]), [0, 0, 1])])
+    lone = integrate_geodesic(WARP, ChartPoint(*q0s[0]), v0s[0], T=20.0, step=1e-2)
+    pair = integrate_geodesic_batch(WARP, q0s, v0s, T=20.0, step=1e-2)
+    assert lone.truncated and pair[0].truncated and not pair[1].truncated
+    assert lone.n_samples == pair[0].n_samples == 1382
+    assert lone.T == pair[0].T == pytest.approx(13.81)
+    assert np.array_equal(lone.q, pair[0].q)
+    assert lone.q[-1, 1] > geodesics.Y_FLOOR
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("vy, T, step", [(1, 800.0, 1.0), (-1, 10.0, 2.0)])
+def test_warped_blowup_is_a_numerics_error_without_warnings(rows, vy, T, step):
+    # far outside the ball: straight up, y grows like e^t and leaves the
+    # floating-point range; straight down from y = 1 with step 2, the
+    # midpoint stage lands exactly on y = 0.  Either way the run stops with
+    # NumericsError, and no numpy warning or Python float exception (a lone
+    # row steps on floats) gets out on the way
+    q0s = np.array([[5.0, 1.0, 0.0], [0.0, 1.0, 0.0]])[:rows]
+    v0s = np.array([unit_vector(WARP, ChartPoint(*q), [0, vy, 0]) for q in q0s])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite"):
+            integrate_geodesic_batch(WARP, q0s, v0s, T=T, step=step)
 
 
 def test_geodesic_equation_residual_locally_small():

@@ -1,7 +1,10 @@
 """Metric families: profiles, Christoffels, curvature, the R_V operator."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from h2xr.errors import DomainError
 from h2xr.hyperbolic import HPoint
@@ -9,10 +12,12 @@ from h2xr.metrics import (
     ChartPoint,
     MetricSpec,
     WarpProfile,
+    _fiber_point,
     _warp_radius_and_grad,
     christoffel_many,
     curvature_at,
     curvature_tensor_many,
+    fiber,
     get_potential,
     metric_many,
     r_v_operator_many,
@@ -93,6 +98,64 @@ def test_profile_positive_and_validation():
         WarpProfile(HPoint(0, 1), -0.1)
     with pytest.raises(DomainError):
         WarpProfile(HPoint(0, 1), 0.1, r0=0.8, r1=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the scalar fiber of a lone trajectory against the array kernel
+# ---------------------------------------------------------------------------
+
+def assert_scalar_fiber_matches(spec, pts):
+    """_fiber_point equals fiber bit for bit, sign of zero included, on the
+    whole batch of points and on each point alone."""
+    one = _fiber_point(spec)
+    phi, (dx, dy) = fiber(spec, pts)
+    for k, (x, y, _) in enumerate(pts.tolist()):
+        lone_phi, (lone_dx, lone_dy) = fiber(spec, pts[k:k + 1])
+        expected = np.array([[phi[k], dx[k], dy[k]], [lone_phi[0], lone_dx[0], lone_dy[0]]])
+        got = np.array([one(x, y)] * 2)
+        assert np.array_equal(got, expected), (spec, x, y, got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected)), (spec, x, y)
+
+
+@st.composite
+def warped_points(draw):
+    """A warp profile and points around its centre in the cap, the blend,
+    outside, next to rho = r0 and rho = r1, or at the exact centre."""
+    r0 = draw(st.floats(0.2, 1.0))
+    r1 = r0 + draw(st.floats(0.1, 0.5))
+    spec = MetricSpec.warped(eps=draw(st.floats(0.01, 0.5)),
+                             center=HPoint(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 2.0))),
+                             r0=r0, r1=r1)
+    radius = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, r0),
+        st.floats(r0, r1),
+        st.floats(r1, r1 + 5.0),
+        *(st.integers(-8, 8).map(lambda k, r=r: r * (1.0 + k * 2.0 ** -52)) for r in (r0, r1)),
+    )
+    pts = []
+    for rho, theta in draw(st.lists(st.tuples(radius, st.floats(0.0, 2.0 * math.pi)),
+                                    min_size=1, max_size=8)):
+        # the point at distance rho from i in direction theta (disk model),
+        # moved to the centre by the isometry w -> cx + cy w
+        z = math.tanh(rho / 2.0) * complex(math.cos(theta), math.sin(theta))
+        w = 1j * (1.0 + z) / (1.0 - z)
+        c = spec.warp.center
+        pts.append([c.x + c.y * w.real, c.y * w.imag, 0.0])
+    return spec, np.array(pts)
+
+
+@given(warped_points())
+def test_scalar_fiber_matches_kernel_warped(case):
+    assert_scalar_fiber_matches(*case)
+
+
+@given(potential=st.sampled_from(["x", "log_y"]), alpha=st.floats(-0.3, 0.3),
+       pts=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 5.0)),
+                    min_size=1, max_size=8))
+def test_scalar_fiber_matches_kernel_twisted(potential, alpha, pts):
+    pts = np.array([[x, y, 0.0] for x, y in pts])
+    assert_scalar_fiber_matches(MetricSpec.twisted(alpha, potential), pts)
 
 
 # ---------------------------------------------------------------------------
