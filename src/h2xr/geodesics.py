@@ -108,7 +108,8 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
     Fused closed-form contractions of the warped-product connection: the
     hyperbolic base block, plus the fiber coupling terms fed by (phi, dphi)
     from the fiber kernel.  Only Warped and Twisted runs step through it;
-    Product runs take the exact flow of _product_row.  Components are read
+    Product runs take the exact flow of _product_row.  jacobi also reads
+    it at the stored samples, for the Hermite midpoint states of its steps.  Components are read
     through state.T, so s[i] is a (B,) row and the transported vectors'
     x, y, t parts s[3::3], s[4::3], s[5::3] are (3, B).
 

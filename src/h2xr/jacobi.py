@@ -20,10 +20,13 @@ the stable tensor is U = -sigma tanh(sigma (T - t)) P.
 
 Warped and Twisted runs step RK4 on the sample grid with the geodesic
 flow's own step, `geodesics._rk4_step`: (A, A') steps as one stacked
-state and U as another.  R_perp comes in closed form from the
-warped-product fiber kernel at the samples, the stage nodes i = 0 and 2
-of a step; the midpoint stages (i = 1) take it from four-point Lagrange
-interpolation on the nearest samples, which keeps both propagators
+state and U as another.  Both read R_perp from one array on the
+half-step grid, in closed form from the warped-product fiber kernel:
+index 2k holds it at sample k, index 2k + 1 at the midpoint state of
+step k, the cubic Hermite interpolant of the stored (q, v, e1, e2) and
+their flow derivative, m = (s_k + s_{k+1})/2 + (h/8)(f_k - f_{k+1}).
+Node i of a step k -> k + d (d = +-1) reads index 2k + d i.  The
+midpoint state is O(h^4) off the geodesic, which keeps both propagators
 fourth order.  Between samples, A(t) is the cubic Hermite interpolant of
 (A, A') at the two ends; root refinement runs on that dense output, with
 no re-integration.  The Product/RK4 choice is made only in `_propagators`
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .geodesics import Trajectory, _rk4_step, integrate_geodesic_batch
+from .geodesics import Trajectory, _rhs, _rk4_step, integrate_geodesic_batch
 from .metrics import (
     ChartPoint,
     MetricSpec,
@@ -56,8 +59,6 @@ CONJUGATE_REFINE_TOL = 1e-8
 # refinement; scaled with the grid because a double root sampled at
 # distance h/2 reads about (h/2)^2
 _TANGENT_TRIGGER_FLOOR = 1e-8
-# steps whose midpoint R_perp is interpolated at once
-_MIDPOINT_SLAB = 1024
 SCAN_CHUNK = 32
 _VERTICAL_GEODESIC_TOL = 1e-8
 _RAUCH_CASES = ((1.0, 0.0), (0.0, 1.0), (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))
@@ -89,21 +90,54 @@ class RiccatiRun:
 
 
 def normal_curvature_samples(traj: Trajectory) -> np.ndarray:
-    """R_perp[a, b] = g(R(e_a, v) v, e_b) at every trajectory sample.
+    """R_perp[a, b] = g(R(e_a, v) v, e_b) at every trajectory sample."""
+    return _rperp(traj.spec, traj.q, traj.v, np.stack([traj.e1, traj.e2], axis=1))
+
+
+def _rperp(spec, q, v, e):
+    """R_perp (..., 2, 2) at states: points q, tangents v (..., 3), normal frames e (..., 2, 3).
 
     Warped-product closed form: with u, w_a the horizontal parts of v, e_a,
     c_a = w_a x u and xi_a = v_t w_a - (e_a)_t u, the K = -1 base block
-    gives -c c^T / y^4 and the mixed block -phi Hess phi(xi, xi).
+    gives -c c^T / y^4 and the mixed block -phi Hess phi(xi, xi).  The
+    Hessian form is spelled out on the components, which is several times
+    cheaper than stacked 2 x 2 matmuls, and its one off-diagonal entry is
+    written to both places, so R_perp is exactly symmetric.
     """
-    spec, q, v = traj.spec, traj.q, traj.v
-    e = np.stack([traj.e1, traj.e2], axis=1)                       # (N, 2, 3)
     c = _base_coupling(q, v, e)
-    out = -(c[:, :, None] * c[:, None, :])
+    out = -(c[..., :, None] * c[..., None, :])
     if spec.kind != "Product":
-        xi = v[:, None, 2:3] * e[:, :, 0:2] - e[:, :, 2:3] * v[:, None, 0:2]
-        hxx = xi @ fiber_hessian(spec, q) @ np.swapaxes(xi, 1, 2)
-        out -= fiber(spec, q)[0][:, None, None] * hxx
+        ax, ay, bx, by = (v[..., 2] * e[..., a, i] - e[..., a, 2] * v[..., i]
+                          for a in (0, 1) for i in (0, 1))      # xi_1 = (ax, ay), xi_2 = (bx, by)
+        hess = fiber_hessian(spec, q)
+        p, r, s = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
+        hax, hay = ax * p + ay * r, ax * r + ay * s             # Hess phi xi_1
+        phi = fiber(spec, q)[0]
+        out[..., 0, 0] -= phi * (hax * ax + hay * ay)
+        out[..., 1, 1] -= phi * ((bx * p + by * r) * bx + (bx * r + by * s) * by)
+        out[..., 0, 1] -= phi * (hax * bx + hay * by)
+        out[..., 1, 0] = out[..., 0, 1]
     return out
+
+
+def _half_grid_rperp(traj: Trajectory) -> np.ndarray:
+    """R_perp on the half-step grid, (2 N - 1, 2, 2): samples at 2k, Hermite midpoints at 2k + 1."""
+    s = np.concatenate([traj.q, traj.v, traj.e1, traj.e2], axis=1)   # (N, 12)
+    f = _rhs(traj.spec, s)
+    h = np.diff(traj.times)[:, None]
+    half = np.empty((2 * len(s) - 1, 12))
+    half[0::2] = s
+    half[1::2] = 0.5 * (s[:-1] + s[1:]) + (0.125 * h) * (f[:-1] - f[1:])
+    return _rperp(traj.spec, half[:, 0:3], half[:, 3:6], half[:, 6:12].reshape(-1, 2, 3))
+
+
+def _half_grid_batch(trajs):
+    """(times of the longest row, every row's half-grid R_perp zero-padded to it)."""
+    longest = max(trajs, key=lambda t: t.n_samples)
+    rhalf = np.zeros((len(trajs), 2 * longest.n_samples - 1, 2, 2))
+    for b, t in enumerate(trajs):
+        rhalf[b, : 2 * t.n_samples - 1] = _half_grid_rperp(t)
+    return longest.times, rhalf
 
 
 def _base_coupling(q, v, e):
@@ -156,68 +190,27 @@ def _product_riccati(sigma, P, t, T):
     return 0.0 - u[:, None, None] * P
 
 
-def _midpoint_rperp(times, rperp, counts, lo, hi):
-    """R_perp at the midpoints of steps lo..hi-1, shape (B, hi - lo, 2, 2).
-
-    Four-point Lagrange interpolation on each row's nearest samples, the
-    stencil shifted inward at the row's ends, weights from the sample times
-    (the last step may be partial).  Rows of fewer than four samples take
-    the two-point mean; steps past a row's end see 0, like its padding.
-    """
-    mean = 0.5 * (rperp[:, lo:hi] + rperp[:, lo + 1:hi + 1])
-    if len(times) < 4:
-        return mean
-    k = np.arange(lo, hi)
-    nodes = np.clip(k - 1, 0, np.maximum(counts, 4)[:, None] - 4)[..., None] + np.arange(4)
-    tn = times[nodes]                                              # (B, S, 4)
-    d = 0.5 * (times[k] + times[k + 1])[:, None] - tn
-    rows = np.arange(len(counts))[:, None]
-    out = base = rperp[:, lo:hi]    # weights sum to 1: exact on constant R_perp
-    for i in range(4):
-        w = 1.0
-        for j in range(4):
-            if j != i:
-                w = w * (d[..., j] / (tn[..., i] - tn[..., j]))
-        out = out + w[..., None, None] * (rperp[rows, nodes[..., i]] - base)
-    out = np.where((counts < 4)[:, None, None, None], mean, out)
-    return np.where((k < counts[:, None] - 1)[..., None, None], out, 0.0)
-
-
-def _steps(times, rperp, counts, k_from, k_to):
-    """(k2, h, R_perp at nodes 0, 1, 2: k, midpoint, k2) per step k -> k2, a slab at a time."""
-    if counts is None:
-        counts = np.full(rperp.shape[0], len(times))
-    direction = 1 if k_to >= k_from else -1
-    ks = range(k_from, k_to, direction)
-    for s0 in range(0, len(ks), _MIDPOINT_SLAB):
-        block = ks[s0:s0 + _MIDPOINT_SLAB]
-        lo = min(block[0], block[-1] + direction)
-        rm = _midpoint_rperp(times, rperp, counts, lo, lo + len(block))
-        for k in block:
-            k2 = k + direction
-            yield k2, times[k2] - times[k], (rperp[:, k], rm[:, min(k, k2) - lo], rperp[:, k2])
-
-
-def _propagate_pair(times, rperp, A0, Ap0, k_from, k_to, counts=None):
+def _propagate_pair(times, rhalf, A0, Ap0, k_from, k_to):
     """RK4 for (A, A') on the sample grid, in either time direction.
 
-    rperp is (B, N, 2, 2), zero-padded past each row's counts if given;
-    A0, Ap0 broadcast to (B, 2, 2).  Returns (A, Ap) shaped like rperp,
+    rhalf is R_perp on the half-step grid of times, (B, 2 N - 1, 2, 2);
+    A0, Ap0 broadcast to (B, 2, 2).  Returns (A, Ap), each (B, N, 2, 2),
     filled on the indices between k_from and k_to inclusive.
     """
-    out = np.full((2,) + rperp.shape, np.nan)
+    d = 1 if k_to >= k_from else -1
+    out = np.full((2, len(rhalf), len(times), 2, 2), np.nan)
     out[0, :, k_from], out[1, :, k_from] = A0, Ap0
     y = out[:, :, k_from].copy()        # the stacked state (A, A')
 
-    def f(y, i):   # (A', -R A), R = R_perp of the current step at node i
-        d = np.empty_like(y)
-        d[0] = y[1]
-        np.negative(r[i] @ y[0], out=d[1])
-        return d
+    def f(y, i):   # (A', -R A), R = R_perp of step k at node i
+        dy = np.empty_like(y)
+        dy[0] = y[1]
+        np.negative(rhalf[:, 2 * k + d * i] @ y[0], out=dy[1])
+        return dy
 
-    for k2, h, r in _steps(times, rperp, counts, k_from, k_to):
-        y = _rk4_step(f, y, h)
-        out[:, :, k2] = y
+    for k in range(k_from, k_to, d):
+        y = _rk4_step(f, y, times[k + d] - times[k])
+        out[:, :, k + d] = y
     return out[0], out[1]
 
 
@@ -295,24 +288,20 @@ def _propagators(trajs, companion=False):
 
     The rows share one spec.  Product rows take the closed form one at a
     time, so only one row's arrays are alive; the other kinds step one RK4
-    batch over R_perp zero-padded past each row's end, and each row's
-    result is sliced back to its own length.
+    batch over half-grid R_perp zero-padded past each row's end, and each
+    row's result is sliced back to its own length.
     """
     if trajs[0].spec.kind == "Product":
         pick = slice(1, 3) if companion else slice(0, 2)
         for t in trajs:
             yield _product_propagators(*_product_axis(t), t.times)[pick]
         return
-    counts = np.array([t.n_samples for t in trajs])
-    longest = trajs[int(np.argmax(counts))]
-    rperp = np.zeros((len(trajs), longest.n_samples, 2, 2))
-    for b, t in enumerate(trajs):
-        rperp[b, : counts[b]] = normal_curvature_samples(t)
+    times, rhalf = _half_grid_batch(trajs)
     zero, eye = np.zeros((2, 2)), np.eye(2)
     A0, Ap0 = (eye, zero) if companion else (zero, eye)
-    As, Aps = _propagate_pair(longest.times, rperp, A0, Ap0, 0, longest.n_samples - 1, counts)
-    for b, n in enumerate(counts):
-        yield As[b, :n], Aps[b, :n]
+    As, Aps = _propagate_pair(times, rhalf, A0, Ap0, 0, len(times) - 1)
+    for b, t in enumerate(trajs):
+        yield As[b, : t.n_samples], Aps[b, : t.n_samples]
 
 
 def _jacobi_runs(trajs):
@@ -356,22 +345,25 @@ def first_conjugate_point(spec: MetricSpec, q0: ChartPoint, v0, Tmax: float):
 # Riccati
 # ---------------------------------------------------------------------------
 
-def _riccati_backward(times, rperp, k_anchor):
-    """Integrate U' = -U^2 - R backward from U = 0 at sample k_anchor; rperp is (B, N, 2, 2)."""
-    U = np.full(rperp.shape, np.nan)
-    u = np.zeros(rperp.shape[:1] + (2, 2))
+def _riccati_backward(times, rhalf, k_anchor):
+    """Integrate U' = -U^2 - R backward from U = 0 at sample k_anchor.
+
+    rhalf is R_perp on the half-step grid of times, (B, 2 N - 1, 2, 2).
+    """
+    U = np.full((len(rhalf), len(times), 2, 2), np.nan)
+    u = np.zeros((len(rhalf), 2, 2))
     U[:, k_anchor] = u
 
-    def f(u, i):
-        return -(u @ u) - r[i]
+    def f(u, i):   # node i of step k -> k - 1
+        return -(u @ u) - rhalf[:, 2 * k - i]
 
-    for j, h, r in _steps(times, rperp, None, k_anchor, 0):
-        u = _rk4_step(f, u, h)
+    for k in range(k_anchor, 0, -1):
+        u = _rk4_step(f, u, times[k - 1] - times[k])
         # one NaN-safe test: over the bound, inf and nan all fail it
         if not np.max(np.abs(u)) <= RICCATI_BLOWUP:
             raise NumericsError("focal blow-up in backward Riccati integration",
-                                time=float(times[j]))
-        U[:, j] = u
+                                time=float(times[k - 1]))
+        U[:, k - 1] = u
     return U
 
 
@@ -394,8 +386,7 @@ def _stable_tensors(trajs, k):
         for t in trajs:
             yield _product_riccati(*_product_axis(t), t.times[: k + 1], t.times[k])
         return
-    rperp = np.stack([normal_curvature_samples(t) for t in trajs])
-    yield from _riccati_backward(trajs[0].times, rperp, k)[:, : k + 1]
+    yield from _riccati_backward(*_half_grid_batch(trajs), k)[:, : k + 1]
 
 
 def riccati_stable(traj: Trajectory, T_anchor: float) -> RiccatiRun:

@@ -3,11 +3,10 @@
 import numpy as np
 
 from h2xr.geodesics import Trajectory
-from h2xr.jacobi import _anchor_index, _propagate_pair, normal_curvature_samples
+from h2xr.jacobi import _anchor_index, _half_grid_rperp, _propagate_pair
 
 
-def riccati_from_jacobi(traj: Trajectory, T_anchor: float,
-                        rperp: np.ndarray | None = None):
+def riccati_from_jacobi(traj: Trajectory, T_anchor: float):
     """U = A' A^{-1} from the anchored Jacobi solution A(T) = I, A'(T) = 0.
 
     This linear route reproduces the zero-anchored Riccati solution
@@ -15,10 +14,9 @@ def riccati_from_jacobi(traj: Trajectory, T_anchor: float,
     so it serves as an independent check on the nonlinear integration.
     Entries where A is close to singular are returned as nan.
     """
-    if rperp is None:
-        rperp = normal_curvature_samples(traj)
     k = _anchor_index(traj, T_anchor)
-    A, Ap = _propagate_pair(traj.times, rperp[None], np.eye(2), np.zeros((2, 2)), k, 0)
+    A, Ap = _propagate_pair(traj.times, _half_grid_rperp(traj)[None], np.eye(2),
+                            np.zeros((2, 2)), k, 0)
     A, Ap = A[0, : k + 1], Ap[0, : k + 1]
     dets = np.linalg.det(A)
     U = np.full_like(A, np.nan)

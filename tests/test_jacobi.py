@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import h2xr.jacobi as jacobi_mod
 from h2xr.errors import DomainError, NumericsError
@@ -25,15 +25,19 @@ from h2xr.jacobi import (
     riccati_stable_limit,
     scan_conjugate_points,
     wronskian_drift,
+    _base_coupling,
     _draw_initial_conditions,
+    _half_grid_batch,
+    _half_grid_rperp,
     _hermite,
     _product_propagators,
     _product_riccati,
     _propagate_pair,
     _riccati_backward,
+    _rperp,
     _scan_chunk,
 )
-from h2xr.metrics import ChartPoint, MetricSpec, fiber, r_v_operator_many
+from h2xr.metrics import ChartPoint, MetricSpec, fiber, fiber_hessian, r_v_operator_many
 from oracles import riccati_from_jacobi
 
 PROD = MetricSpec.product(1.0)
@@ -199,6 +203,64 @@ def test_propagators_fourth_order_on_smooth_run():
         assert diffs[1] / diffs[2] >= 12.0
 
 
+def test_blend_crossing_warped_run_error_against_step_eighth():
+    # this slanted run crosses the warp's C^2 blend, where R_perp has a
+    # kink in t; each propagator is compared with its own run at step/8.
+    # Lagrange-interpolated midpoints gave 2.79e-6 (A) and 1.05e-5 (U);
+    # the Hermite midpoint states give 1.45e-6 and 5.37e-6
+    spec = MetricSpec.warped(eps=0.1)
+    q0 = ChartPoint(0.1, 0.9, 0.0)
+    v0 = unit_vector(spec, q0, [0.3, 0.2, 1.0])
+    a_end, u_start = [], []
+    for step in (2e-3, 2e-3 / 8):
+        tr = integrate_geodesic(spec, q0, v0, T=4.0, step=step)
+        a_end.append(propagate_jacobi(tr).A[-1])
+        u_start.append(riccati_stable(tr, 4.0).U[0])
+    for (val, ref), bound in ((a_end, 2.0e-6), (u_start, 7.5e-6)):
+        assert np.max(np.abs(val - ref)) <= bound * np.max(np.abs(ref))
+
+
+_KERNEL_SPECS = {"warped": MetricSpec.warped(eps=0.4), "twisted-x": MetricSpec.twisted(0.3, "x"),
+                 "twisted-log_y": MetricSpec.twisted(0.05, "log_y")}
+_coord = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(sorted(_KERNEL_SPECS)), x=st.floats(-1.5, 1.5),
+       y=st.floats(0.3, 2.5), v=st.tuples(*[_coord] * 3), e=st.tuples(*[_coord] * 6))
+def test_rperp_kernel_symmetric_off_trajectory(kind, x, y, v, e):
+    # any state, not unit speed and not orthonormal like a Hermite midpoint
+    # state: R_perp is exactly symmetric, and within rounding of
+    # -c c^T - phi xi Hess phi xi^T taken with matmuls
+    spec = _KERNEL_SPECS[kind]
+    q, v, e = np.array([[x, y, 0.0]]), np.array([v]), np.array(e).reshape(1, 2, 3)
+    r = _rperp(spec, q, v, e)[0]
+    assert r[0, 1] == r[1, 0]
+    c = _base_coupling(q, v, e)[0]
+    xi = v[0, None, 2:3] * e[0, :, 0:2] - e[0, :, 2:3] * v[0, None, 0:2]
+    hess = fiber_hessian(spec, q)[0]
+    phi = fiber(spec, q)[0][0]
+    ref = -np.outer(c, c) - phi * (xi @ hess @ xi.T)
+    scale = c @ c + abs(phi) * np.sum(xi * xi) * np.max(np.abs(hess))
+    assert np.max(np.abs(r - ref)) <= 4.0 * np.finfo(float).eps * scale
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(sorted(_KERNEL_SPECS)), x=st.floats(-1.0, 1.0),
+       y=st.floats(0.5, 2.0), d=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_half_grid_samples_match_normal_curvature_samples(kind, x, y, d):
+    # even half-grid indices are the sample states: the same bits as the
+    # public per-sample R_perp, sign of zero included
+    spec = _KERNEL_SPECS[kind]
+    q0 = ChartPoint(x, y, 0.0)
+    if not np.any(d):
+        d = (0.0, 0.0, 1.0)
+    tr = integrate_geodesic(spec, q0, unit_vector(spec, q0, d), T=0.05, step=1e-2)
+    half, samples = _half_grid_rperp(tr)[0::2], normal_curvature_samples(tr)
+    assert np.array_equal(half, samples)
+    assert np.array_equal(np.signbit(half), np.signbit(samples))
+
+
 def test_warped_frequency_fit():
     run = propagate_jacobi(central_vertical_run(0.1, T=7.0))
     w = fit_frequency(run.times, run.A[:, 0, 0])
@@ -270,19 +332,17 @@ def test_scan_rows_match_single_trajectory_runs(spec):
 
 def test_truncated_rows_propagate_as_their_own_trajectories():
     # rows cut at the chart floor are zero-padded in the RK4 chunk; the
-    # midpoint stencil must stay inside each row, so every row matches its
+    # half-grid R_perp must stay inside each row, so every row matches its
     # own RK4 run (Product rows truncate cheaply, so they feed the padding)
     q0s, v0s = _draw_initial_conditions(PROD, list(range(5)), 4, DEFAULT_SCAN_BOX)
     trajs = integrate_geodesic_batch(PROD, q0s, v0s, 20.0, 4e-3)
     counts = np.array([t.n_samples for t in trajs])
     assert counts.min() < counts.max()
-    rperp = np.zeros((len(trajs), counts.max(), 2, 2))
+    grid, rhalf = _half_grid_batch(trajs)
+    assert rhalf.shape == (len(trajs), 2 * counts.max() - 1, 2, 2)
+    A, Ap = _propagate_pair(grid, rhalf, np.zeros((2, 2)), np.eye(2), 0, len(grid) - 1)
     for b, tr in enumerate(trajs):
-        rperp[b, : counts[b]] = normal_curvature_samples(tr)
-    grid = trajs[int(np.argmax(counts))].times
-    A, Ap = _propagate_pair(grid, rperp, np.zeros((2, 2)), np.eye(2), 0, len(grid) - 1, counts)
-    for b, tr in enumerate(trajs):
-        A1, Ap1 = _propagate_pair(tr.times, rperp[b:b + 1, : counts[b]], np.zeros((2, 2)),
+        A1, Ap1 = _propagate_pair(tr.times, _half_grid_rperp(tr)[None], np.zeros((2, 2)),
                                   np.eye(2), 0, counts[b] - 1)
         assert np.array_equal(A[b, : counts[b]], A1[0])
         assert np.array_equal(Ap[b, : counts[b]], Ap1[0])
@@ -380,15 +440,19 @@ def test_riccati_blowup_error():
     assert exc.value.info["time"] > 0.0
 
 
-@pytest.mark.parametrize("r", [2e6, -2e6, math.nan])
-def test_riccati_guard_stops_at_the_first_bad_step(r):
-    # one sample's R_perp over the bound, or nan, spoils U on the step that reads it
+@pytest.mark.parametrize("index, r", [
+    pytest.param(11, 2e6, id="2000000.0"), pytest.param(11, -2e6, id="-2000000.0"),
+    pytest.param(11, math.nan, id="nan"), pytest.param(10, 2e8, id="sample-200000000.0"),
+    pytest.param(10, math.nan, id="sample-nan")])
+def test_riccati_guard_stops_at_the_first_bad_step(index, r):
+    # one half-grid R_perp over the bound, or nan, spoils U on the first step
+    # that reads it: step 6 -> 5 reads index 11 (its midpoint) and 10 (sample 5)
     times = np.linspace(0.0, 1.0, 11)
-    rperp = np.zeros((1, 11, 2, 2))
-    rperp[0, 5, 0, 0] = r
+    rhalf = np.zeros((1, 21, 2, 2))
+    rhalf[0, index, 0, 0] = r
     with pytest.raises(NumericsError, match="blow-up") as exc:
-        _riccati_backward(times, rperp, 10)
-    assert exc.value.info["time"] == times[6]
+        _riccati_backward(times, rhalf, 10)
+    assert exc.value.info["time"] == times[5]
 
 
 def test_riccati_average_product_zero_and_deterministic():

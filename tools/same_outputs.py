@@ -6,7 +6,9 @@ OLD_SRC and NEW_SRC are the `src` directories of two checkouts, e.g. a
 `git archive` of the parent commit and the working tree.  Every job of
 JOBS runs once per tree as `python -m h2xr.cli` in a fresh process, with
 PYTHONPATH set to that tree and the job's H2XR_WORKERS.  The scans run at
-one and at two workers.  One line is printed per job; the exit status is
+one and at two workers.  One line is printed per job; a CSV that differs
+also gets its largest absolute and relative change over the numeric
+cells the two trees share, each with its column.  The exit status is
 0 when every job exits with the same code in both trees and writes the
 same CSV files with the same bytes, and 1 otherwise.  manifest.json is
 not compared: it holds wall times and versions.  A full run takes a few
@@ -15,6 +17,7 @@ minutes on two cores.
 
 from __future__ import annotations
 
+import csv
 import os
 import subprocess
 import sys
@@ -66,6 +69,33 @@ def run_job(src: Path, workdir: Path, subcommand: str, config: str, workers: int
     return proc.returncode, proc.stderr.strip(), csvs
 
 
+def largest_change(a: list[bytes], b: list[bytes]) -> str:
+    """Largest absolute and relative change between the numeric cells of two CSVs.
+
+    a and b are the lines of the two files; cells are paired by row and
+    column, and a cell that is blank or not a number on either side is
+    skipped.  A column's relative change is its largest absolute change
+    over its largest magnitude, so values near a zero crossing do not
+    dominate it.
+    """
+    rows_a, rows_b = (list(csv.reader(line.decode() for line in lines)) for lines in (a, b))
+    change, size = {}, {}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for col, x, y in zip(rows_a[0], row_a, row_b):
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue
+            change[col] = max(change.get(col, 0.0), abs(x - y))
+            size[col] = max(size.get(col, 0.0), abs(x), abs(y))
+    if not change:
+        return "no numeric cells to compare"
+    rel = {col: d / size[col] if size[col] > 0.0 else 0.0 for col, d in change.items()}
+    col_abs, col_rel = max(change, key=change.get), max(rel, key=rel.get)
+    return (f"max abs change {change[col_abs]:.3g} ({col_abs}), "
+            f"max rel change {rel[col_rel]:.3g} ({col_rel})")
+
+
 def compare(old, new) -> list[str]:
     """Differences between two run_job results, one message each."""
     (code_a, err_a, csv_a), (code_b, err_b, csv_b) = old, new
@@ -79,7 +109,7 @@ def compare(old, new) -> list[str]:
         a, b = csv_a[name].splitlines(), csv_b[name].splitlines()
         if a != b:
             k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-            problems.append(f"{name} differs from line {k + 1}")
+            problems.append(f"{name} differs from line {k + 1}: {largest_change(a, b)}")
     return problems
 
 
