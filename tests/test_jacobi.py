@@ -206,8 +206,9 @@ def test_propagators_fourth_order_on_smooth_run():
 def test_blend_crossing_warped_run_error_against_step_eighth():
     # this slanted run crosses the warp's C^2 blend, where R_perp has a
     # kink in t; each propagator is compared with its own run at step/8.
-    # Lagrange-interpolated midpoints gave 2.79e-6 (A) and 1.05e-5 (U);
-    # the Hermite midpoint states give 1.45e-6 and 5.37e-6
+    # The bounds sit between the errors of four-point Lagrange midpoints
+    # (2.79e-6 for A, 1.05e-5 for U) and of Hermite midpoint states
+    # (1.45e-6 and 5.37e-6)
     spec = MetricSpec.warped(eps=0.1)
     q0 = ChartPoint(0.1, 0.9, 0.0)
     v0 = unit_vector(spec, q0, [0.3, 0.2, 1.0])

@@ -7,8 +7,9 @@ OLD_SRC and NEW_SRC are the `src` directories of two checkouts, e.g. a
 JOBS runs once per tree as `python -m h2xr.cli` in a fresh process, with
 PYTHONPATH set to that tree and the job's H2XR_WORKERS.  The scans run at
 one and at two workers.  One line is printed per job; a CSV that differs
-also gets its largest absolute and relative change over the numeric
-cells the two trees share, each with its column.  The exit status is
+also gets its largest absolute change over the numeric cells the two
+trees share and its largest change relative to a column's magnitude,
+each with its column.  The exit status is
 0 when every job exits with the same code in both trees and writes the
 same CSV files with the same bytes, and 1 otherwise.  manifest.json is
 not compared: it holds wall times and versions.  A full run takes a few
