@@ -22,7 +22,10 @@ end), which the autonomous geodesic flow ignores.
 Either way the samples sit on the same time grid.  A start at or below
 Y_FLOOR is rejected; a trajectory is cut before its first sample with
 y <= Y_FLOOR and flagged rather than re-charted; non-finite states
-abort the run.
+abort the run.  A Product trajectory is built from its start state and
+grid alone: the cut and the non-finite check are made then, but its
+samples q, v, e1, e2 are filled on first read and cached, because the
+closed-form propagators of `jacobi` read only the start state.
 """
 
 from __future__ import annotations
@@ -46,22 +49,43 @@ class Trajectory:
 
     e3 of the frame is the tangent itself; e1, e2 span its normal bundle
     (for a horizontal run on the product: in-surface normal, then
-    vertical).
+    vertical).  start holds (q, v, e1, e2) at t = 0.  An RK4 row is
+    built with its samples; a Product row gets them from the exact flow
+    on first read, and keeps them.
     """
 
     spec: MetricSpec
     times: np.ndarray          # (N,)
-    q: np.ndarray              # (N, 3)
-    v: np.ndarray              # (N, 3)
-    e1: np.ndarray             # (N, 3)
-    e2: np.ndarray             # (N, 3)
+    start: np.ndarray          # (12,)
     step: float
     T: float
     truncated: bool = False
+    _samples: tuple | None = None   # (q, v, e1, e2), each (N, 3)
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
+
+    def _filled(self) -> tuple:
+        if self._samples is None:
+            object.__setattr__(self, "_samples", _product_samples(self.start, self.times))
+        return self._samples
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._filled()[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._filled()[1]
+
+    @property
+    def e1(self) -> np.ndarray:
+        return self._filled()[2]
+
+    @property
+    def e2(self) -> np.ndarray:
+        return self._filled()[3]
 
 
 def unit_vector(spec: MetricSpec, q: ChartPoint, v) -> np.ndarray:
@@ -108,7 +132,7 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
     Fused closed-form contractions of the warped-product connection: the
     hyperbolic base block, plus the fiber coupling terms fed by (phi, dphi)
     from the fiber kernel.  Only Warped and Twisted runs step through it;
-    Product runs take the exact flow of _product_row.  jacobi also reads
+    Product runs take the exact flow of _product_samples.  jacobi also reads
     it at the stored samples, for the Hermite midpoint states of its steps.  Components are read
     through state.T, so s[i] is a (B,) row and the transported vectors'
     x, y, t parts s[3::3], s[4::3], s[5::3] are (3, B).
@@ -209,27 +233,17 @@ def _rk4_rows(spec, state, times):
             for b in range(B)]
 
 
-# Product rows are filled this many samples at a time, so the temporaries
-# stay small next to the trajectory arrays themselves.
-_PRODUCT_SLAB = 8192
+def _mobius_factors(state, times):
+    """(d_x, d_y, c_p, c_m, e^s, e^-s, D) of the exact Product flow from state (12,) at times.
 
-
-def _product_row(row, state, times):
-    """Exact Product flow of one initial state (12,) at the sample times.
-
-    Returns (q, v, e1, e2), each (n, 3), where n is the index of the first
-    sample with y <= Y_FLOOR, or every sample when there is none.  With u
-    the horizontal velocity, d = u/|u| (upward when u = 0) and s = |u| t/y0,
-    the base point is M(i e^s): y = y0/D and x = x0 + y0 d_x sinh s/D, with
-    D = cosh s - d_y sinh s.  The horizontal part of every transported
-    vector, as a complex number, is multiplied by
-    E = (d_y + i d_x)/(c + i d_x), c = d_y cosh s - sinh s, |c + i d_x| = D.
+    With u the horizontal velocity, d = u/|u| (upward when u = 0) and
+    s = |u| t/y0, D = cosh s - d_y sinh s = (c_p e^s + c_m e^-s)/2 with
+    c_p = 1 - d_y and c_m = 1 + d_y; the smaller of the two comes from
+    d_x^2 = c_p c_m, so nothing cancels.
     """
-    x0, y0, t0, vx, vy, vt = (float(c) for c in state[:6])
+    y0, vx, vy = float(state[1]), float(state[3]), float(state[4])
     speed = math.hypot(vx, vy)
     dx, dy = (vx / speed, vy / speed) if speed > 0.0 else (0.0, 1.0)
-    # D = (cp e^s + cm e^-s)/2 with cp = 1 - d_y and cm = 1 + d_y; the
-    # smaller of the two comes from d_x^2 = cp cm, so nothing cancels
     if dy > 0.0:
         cp, cm = dx * dx / (1.0 + dy), 1.0 + dy
     else:
@@ -237,21 +251,49 @@ def _product_row(row, state, times):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         es = np.exp((speed / y0) * times)
         em = 1.0 / es
-        D = 0.5 * (cp * es + cm * em)
-        y = y0 / D
+        return dx, dy, cp, cm, es, em, 0.5 * (cp * es + cm * em)
+
+
+def _product_cut(row, state, times):
+    """Samples kept of the exact Product flow of one initial state (12,) on times.
+
+    That is the index of the first sample with y = y0/D <= Y_FLOOR, or
+    every sample when there is none.  A y that is not finite there raises
+    the NumericsError of an RK4 row.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = float(state[1]) / _mobius_factors(state, times)[-1]
     keep = (y > Y_FLOOR) & (y < math.inf)
     keep[0] = True
     n = len(times) if keep.all() else int(keep.argmin())
     if n < len(times) and not math.isfinite(y[n]):
         raise NumericsError("non-finite integrator state", rows=[row], time=times[n - 1])
+    return n
 
+
+# Product samples are filled this many at a time, so the temporaries stay
+# small next to the sample arrays themselves.
+_PRODUCT_SLAB = 8192
+
+
+def _product_samples(state, times):
+    """Exact Product flow of one initial state (12,): (q, v, e1, e2), each (N, 3), at times.
+
+    The base point is M(i e^s): y = y0/D and x = x0 + y0 d_x sinh s/D
+    (see _mobius_factors).  The horizontal part of every transported
+    vector, as a complex number, is multiplied by
+    E = (d_y + i d_x)/(c + i d_x), c = d_y cosh s - sinh s, |c + i d_x| = D.
+    Every time must be kept by _product_cut.
+    """
+    x0, y0, t0, vx, vy, vt = (float(c) for c in state[:6])
+    n = len(times)
     q, v, e1, e2 = (np.empty((n, 3)) for _ in range(4))
     vectors = ((v, vx, vy, vt), (e1, *state[6:9]), (e2, *state[9:12]))
     for k0 in range(0, n, _PRODUCT_SLAB):
         k = slice(k0, min(k0 + _PRODUCT_SLAB, n))
-        ek, mk, Dk = es[k], em[k], D[k]
+        dx, dy, cp, cm, ek, mk, Dk = _mobius_factors(state, times[k])
         q[k, 0] = x0 + (y0 * dx) * (0.5 * (ek - mk)) / Dk
-        q[k, 1] = y[k]
+        q[k, 1] = y0 / Dk
         q[k, 2] = t0 + vt * times[k]
         c = 0.5 * (cm * mk - cp * ek)
         inv = 1.0 / (Dk * Dk)
@@ -305,14 +347,14 @@ def _integrate_batch(spec, q0s, v0s, T, step):
     if haves_partial:
         times[-1] = T
 
-    if spec.kind == "Product":
-        rows = [_product_row(b, state[b], times) for b in range(B)]
+    if spec.kind == "Product":   # samples filled on first read
+        rows = [(_product_cut(b, state[b], times), None) for b in range(B)]
     else:
-        rows = _rk4_rows(spec, state, times)
+        rows = [(len(s[0]), s) for s in _rk4_rows(spec, state, times)]
     return [
-        Trajectory(spec=spec, times=times[:len(q)], q=q, v=v, e1=e1, e2=e2, step=step,
-                   T=float(times[len(q) - 1]), truncated=len(q) < len(times))
-        for q, v, e1, e2 in rows
+        Trajectory(spec=spec, times=times[:n], start=state[b], step=step,
+                   T=float(times[n - 1]), truncated=n < len(times), _samples=samples)
+        for b, (n, samples) in enumerate(rows)
     ]
 
 

@@ -16,7 +16,9 @@ On the Product metric both propagators are closed form.  R_perp = -c c^T
 is constant in the parallel frame, |c| = sigma the horizontal speed, so
 with P = c c^T / sigma^2 the propagator is A = t (I - P) + (sinh(sigma t)
 / sigma) P, det A = t sinh(sigma t) / sigma > 0 (no conjugate points), and
-the stable tensor is U = -sigma tanh(sigma (T - t)) P.
+the stable tensor is U = -sigma tanh(sigma (T - t)) P.  Both read only a
+row's start state, so its trajectory samples are never filled; det A
+rises strictly, so a Product scan row reads it once, at times[1].
 
 Warped and Twisted runs step RK4 on the sample grid with the geodesic
 flow's own step, `geodesics._rk4_step`: (A, A') steps as one stacked
@@ -152,11 +154,12 @@ def _product_axis(traj: Trajectory):
     """(sigma, P) of a Product row: R_perp = -sigma^2 P all along it.
 
     c is constant along a Product geodesic in its parallel frame, so it is
-    read at the first sample; sigma = |c| is the horizontal speed and
-    P = c c^T / sigma^2.  A vertical row has c = 0: sigma = 0 and P = 0.
+    read at the start state, and the row's samples are never filled;
+    sigma = |c| is the horizontal speed and P = c c^T / sigma^2.  A
+    vertical row has c = 0: sigma = 0 and P = 0.
     """
-    e = np.stack([traj.e1[0], traj.e2[0]])
-    c = _base_coupling(traj.q[0], traj.v[0], e)
+    s = traj.start
+    c = _base_coupling(s[0:3], s[3:6], s[6:12].reshape(2, 3))
     sigma = math.hypot(c[0], c[1])
     if sigma == 0.0:
         return 0.0, np.zeros((2, 2))
@@ -595,14 +598,34 @@ def _draw_initial_conditions(spec, indices, seed, box):
     return q0s, v0s
 
 
+def _scan_values(trajs):
+    """Each row's (first conjugate t* or None, min of det A over samples 1..N-1).
+
+    A row of one sample gives 0.0.  On Product, det A = t sinh(sigma t) /
+    sigma (t^2 on a vertical row) rises strictly from 0, so there is no
+    conjugate point and the minimum is at the first sample after t = 0:
+    only det S(times[1]) is evaluated, with the LAPACK det that
+    propagate_jacobi takes, so the value is the same to the bit.  The
+    other kinds read the full JacobiRun.
+    """
+    if trajs[0].spec.kind == "Product":
+        for t in trajs:
+            S = _product_propagators(*_product_axis(t), t.times[1:2])[0]
+            yield None, float(np.linalg.det(S)[0]) if len(S) else 0.0
+        return
+    for run in _jacobi_runs(trajs):
+        yield (run.conjugates[0] if run.conjugates else None,
+               float(np.min(run.dets[1:])) if len(run.dets) > 1 else 0.0)
+
+
 def _scan_chunk(args):
     spec, indices, Tmax, step, seed, box = args
     q0s, v0s = _draw_initial_conditions(spec, indices, seed, box)
     trajs = integrate_geodesic_batch(spec, q0s, v0s, Tmax, step)
-    return [ScanRow(index=i, q0=q0, v0=v0, t_star=run.conjugates[0] if run.conjugates else None,
-                    det_min=float(np.min(run.dets[1:])) if len(run.dets) > 1 else 0.0,
-                    truncated=run.traj.truncated)
-            for i, q0, v0, run in zip(indices, q0s, v0s, _jacobi_runs(trajs))]
+    return [ScanRow(index=i, q0=q0, v0=v0, t_star=t_star, det_min=det_min,
+                    truncated=traj.truncated)
+            for i, q0, v0, traj, (t_star, det_min) in zip(indices, q0s, v0s, trajs,
+                                                          _scan_values(trajs))]
 
 
 def default_workers() -> int:

@@ -5,6 +5,7 @@ metric, whose geodesics still step through RK4.
 """
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -285,6 +286,29 @@ def test_product_never_steps_rk4(monkeypatch):
                     for q, d in zip(q0s, ([1, 0, 0.4], [0.2, 1, -0.3], [0, 0, 1]))])
     trajs = integrate_geodesic_batch(PROD, q0s, v0s, T=1.0, step=1e-3)
     assert [tr.n_samples for tr in trajs] == [1001] * 3
+
+
+def test_product_samples_filled_on_first_read(monkeypatch):
+    # built from its start and grid only: the samples come on first read,
+    # are kept, and survive pickling whether filled or not
+    def no_fill(*args, **kwargs):
+        raise AssertionError("Product trajectory filled when built")
+
+    q0 = ChartPoint(0.4, 1.5, 0.2)
+    v0 = unit_vector(PROD, q0, [0.2, 1, -0.3])
+    with monkeypatch.context() as m:
+        m.setattr(geodesics, "_product_samples", no_fill)
+        tr = integrate_geodesic(PROD, q0, v0, T=3.0)
+        lazy = pickle.loads(pickle.dumps(tr))
+    assert (tr.n_samples, tr.T, tr.truncated) == (3001, 3.0, False)
+    assert np.array_equal(tr.start, np.concatenate([q0.as_array(), v0, *initial_frame(PROD, q0, v0)]))
+    fields = ("q", "v", "e1", "e2")
+    first = [getattr(tr, f) for f in fields]
+    assert all(getattr(tr, f) is a for f, a in zip(fields, first))
+    assert all(a.shape == (3001, 3) for a in first)
+    for copy in (lazy, pickle.loads(pickle.dumps(tr))):
+        for f, a in zip(fields, first):
+            assert np.array_equal(getattr(copy, f), a), f
 
 
 def test_product_fiber_length_two_exact_invariants():

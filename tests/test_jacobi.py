@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import h2xr.jacobi as jacobi_mod
+from h2xr import geodesics
 from h2xr.errors import DomainError, NumericsError
 from h2xr.geodesics import integrate_geodesic, integrate_geodesic_batch, unit_vector
 from h2xr.jacobi import (
@@ -116,8 +117,13 @@ def test_product_never_steps_rk4(monkeypatch):
     def no_rk4(*args, **kwargs):
         raise AssertionError("Product run stepped an RK4 propagator")
 
+    def no_fill(*args, **kwargs):
+        raise AssertionError("Product run filled its trajectory samples")
+
     monkeypatch.setattr(jacobi_mod, "_propagate_pair", no_rk4)
     monkeypatch.setattr(jacobi_mod, "_riccati_backward", no_rk4)
+    # the closed forms read only the start state and the time grid
+    monkeypatch.setattr(geodesics, "_product_samples", no_fill)
     tr = integrate_geodesic(PROD, ORIGIN, unit_vector(PROD, ORIGIN, [0.3, 1, 0.2]), T=2.0)
     assert propagate_jacobi(tr).conjugates == []
     companion_propagator(tr)
@@ -318,17 +324,61 @@ def test_scan_rejects_starts_below_the_chart_floor():
         scan_conjugate_points(PROD, count=2, Tmax=1.0, seed=0, workers=1, box=box)
 
 
-@pytest.mark.parametrize("spec", [PROD, MetricSpec.warped(eps=0.1), MetricSpec.twisted(0.3, "x")],
-                         ids=["product", "warped", "twisted"])
-def test_scan_rows_match_single_trajectory_runs(spec):
-    indices, Tmax, step, seed = list(range(5)), 3.0, 2e-3, 4
+@pytest.mark.parametrize("spec, Tmax, count", [
+    (PROD, 3.0, 5), (PROD, 20.0, 8), (MetricSpec.warped(eps=0.1), 3.0, 5),
+    (MetricSpec.twisted(0.3, "x"), 3.0, 5),
+], ids=["product", "product-floor", "warped", "twisted"])
+def test_scan_rows_match_single_trajectory_runs(spec, Tmax, count, monkeypatch):
+    # a Product scan row reads det A at times[1] only; it must give the
+    # full row's minimum, bit for bit, also on rows cut at the chart floor
+    # and on a vertical row (sigma = 0), which the last row is made into
+    indices, step, seed = list(range(count)), 2e-3, 4
+    if spec is PROD:
+        def draw(*args):
+            q0s, v0s = _draw_initial_conditions(*args)
+            v0s[-1] = (0.0, 0.0, 1.0)
+            return q0s, v0s
+
+        monkeypatch.setattr(jacobi_mod, "_draw_initial_conditions", draw)
     rows = _scan_chunk((spec, indices, Tmax, step, seed, DEFAULT_SCAN_BOX))
-    q0s, v0s = _draw_initial_conditions(spec, indices, seed, DEFAULT_SCAN_BOX)
+    q0s, v0s = jacobi_mod._draw_initial_conditions(spec, indices, seed, DEFAULT_SCAN_BOX)
+    cut = 0
     for row, q0, v0 in zip(rows, q0s, v0s):
         tr = integrate_geodesic_batch(spec, q0[None], v0[None], Tmax, step)[0]
         run = propagate_jacobi(tr)
-        assert row.det_min == float(np.min(run.dets[1:]))
+        assert repr(row.det_min) == repr(float(np.min(run.dets[1:])))
         assert row.t_star == (run.conjugates[0] if run.conjugates else None)
+        assert row.truncated == tr.truncated
+        cut += tr.truncated
+    if Tmax == 20.0:
+        assert 0 < cut < count
+
+
+def test_product_scan_matches_rk4_engine_scan(monkeypatch):
+    # Twisted with alpha = 0 is the product metric stepped by RK4: an
+    # independent witness that a Product scan row has no conjugate point
+    # and its det A minimum at times[1].  The scan chunk takes det_min at
+    # sample 1 from the closed form (8.9e-15 relative to the engine,
+    # measured; the minimum is at t = 1e-3 whatever the horizon)
+    twin = MetricSpec.twisted(0.0, "x")
+    args = (list(range(32)), 2.0, 1e-3, 0, DEFAULT_SCAN_BOX)
+    argmins = []
+    engine_runs = jacobi_mod._jacobi_runs
+
+    def spy(trajs):
+        for run in engine_runs(trajs):
+            argmins.append(int(np.argmin(run.dets[1:])))
+            yield run
+
+    monkeypatch.setattr(jacobi_mod, "_jacobi_runs", spy)
+    engine = _scan_chunk((twin, *args))
+    monkeypatch.undo()
+    exact = _scan_chunk((PROD, *args))
+    assert argmins == [0] * 32
+    assert [r.t_star for r in engine] == [None] * 32
+    for a, b in zip(engine, exact):
+        assert np.array_equal(a.q0, b.q0) and np.array_equal(a.v0, b.v0)
+        assert abs(a.det_min - b.det_min) <= 2e-14 * b.det_min
 
 
 def test_truncated_rows_propagate_as_their_own_trajectories():

@@ -35,6 +35,9 @@ JOBS = [
     # far outside the warp ball, straight down: the lone row is cut at Y_FLOOR
     ("jacobi-warped-floor", "jacobi",
      "kind: Warped\neps: 0.1\nq0_x: 5\nq0_y: 1\nv0_x: 0\nv0_y: -1\nv0_t: 0\nT: 20\nstep: 0.01\n", 1),
+    # Product, straight down: the lone row is cut at Y_FLOOR
+    ("jacobi-product-floor", "jacobi",
+     "kind: Product\nv0_x: 0\nv0_y: -1\nv0_t: 0\nT: 20\nstep: 0.01\n", 1),
     ("jacobi-twisted-x", "jacobi",
      "kind: Twisted\npotential: x\nalpha: 0.05\nv0_x: 1\nv0_y: 0.3\nv0_t: 0.5\nT: 5\n", 1),
     ("jacobi-twisted-log_y", "jacobi",
@@ -42,6 +45,9 @@ JOBS = [
     ("riccati-stable-warped", "riccati-stable", _SLANTED + "T: 8\nanchor: 4\n", 1),
     ("riccati-stable-twisted", "riccati-stable",
      "kind: Twisted\npotential: x\nalpha: 0.05\nv0_x: 0.2\nv0_t: 0.5\nT: 8\nanchor: 4\n", 1),
+    ("riccati-stable-product", "riccati-stable",
+     "kind: Product\nq0_x: 0.1\nq0_y: 0.9\nv0_x: 0.3\nv0_y: 0.2\nv0_t: 1\nT: 8\nanchor: 4\n", 1),
+    ("riccati-average-product", "riccati-average", "kind: Product\nN: 8\nanchor: 3\n", 1),
     ("riccati-average-warped-point", "riccati-average",
      "kind: Warped\neps: 0.1\nsampler: point\nN: 4\nanchor: 3\n", 1),
     *((f"scan-{name}-w{w}", "scan-conjugate", text, w)
@@ -51,6 +57,9 @@ JOBS = [
           ("twisted", "kind: Twisted\npotential: x\nalpha: 0.05\ncount: 40\nTmax: 10\n"),
       )
       for w in (1, 2)),
+    # the scan_product benchmark workload: one 32-row chunk at Tmax = 50
+    ("scan-product-bench", "scan-conjugate",
+     "kind: Product\nL: 1.0\ncount: 32\nTmax: 50.0\nstep: 0.001\nseed: 0\n", 1),
     ("ledger-seed-0", "ledger", "seed: 0\n", 1),
 ]
 
