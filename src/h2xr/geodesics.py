@@ -5,7 +5,8 @@ and the horizontal part is the H^2 geodesic M(i e^s), where the Mobius
 map M takes i to the start point and the upward direction to the
 start direction.  Parallel transport along i e^s is w -> e^s w, pushed
 forward by M', so the horizontal parts of v, e1 and e2 all turn by one
-complex factor and their fiber components stay constant.
+complex factor and their fiber components stay constant.  The factor
+is divided by D twice, so a row stays finite as far as its y does.
 
 Warped and Twisted runs use a classical fixed-step RK4 on the combined
 state (q, v, e1, e2); the frame is transported in the same step so
@@ -26,6 +27,8 @@ abort the run.  A Product trajectory is built from its start state and
 grid alone: the cut and the non-finite check are made then, but its
 samples q, v, e1, e2 are filled on first read and cached, because the
 closed-form propagators of `jacobi` read only the start state.
+Frames and every g-inner product take the diagonal metric
+diag(1/y^2, 1/y^2, phi^2); the initial Gram-Schmidt runs on floats.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .metrics import ChartPoint, MetricSpec, _fiber, _fiber_point, metric_many
+from .metrics import (ChartPoint, MetricSpec, _diagonal_at, _diagonal_dot, _fiber,
+                      _fiber_point, inner_many)
 
 DEFAULT_STEP = 1e-3
 Y_FLOOR = 1e-6
@@ -91,8 +95,7 @@ class Trajectory:
 def unit_vector(spec: MetricSpec, q: ChartPoint, v) -> np.ndarray:
     """Normalize a coordinate vector to unit speed at q."""
     v = np.asarray(v, dtype=float)
-    g = metric_many(spec, q.as_array()[None, :])[0]
-    n2 = float(np.einsum("ij,i,j->", g, v, v))
+    n2 = _diagonal_dot(_diagonal_at(spec, q), v.tolist(), v.tolist())
     if not (n2 > 0.0 and math.isfinite(n2)):
         raise DomainError("cannot normalize a null or non-finite vector")
     return v / math.sqrt(n2)
@@ -103,26 +106,28 @@ def initial_frame(spec: MetricSpec, q: ChartPoint, v) -> tuple[np.ndarray, np.nd
 
     Gram-Schmidt of the coordinate directions (d_x, d_y, d_t), in that
     order, against the tangent.  For a horizontal product geodesic this
-    yields (in-surface normal, vertical).
+    yields (in-surface normal, vertical).  It runs on floats, with the
+    inner product of the diagonal metric.
     """
-    g = metric_many(spec, q.as_array()[None, :])[0]
-    v = np.asarray(v, dtype=float)
-    accepted = [v / math.sqrt(float(np.einsum("ij,i,j->", g, v, v)))]
-    out = []
+    g = _diagonal_at(spec, q)
+    v = np.asarray(v, dtype=float).tolist()
+    norm = math.sqrt(_diagonal_dot(g, v, v))
+    if norm == 0.0:
+        raise DomainError("cannot build a frame on a null tangent")
+    accepted = [[c / norm for c in v]]
     for m in range(3):
-        c = np.zeros(3)
-        c[m] = 1.0
-        w = c.copy()
+        w = [0.0, 0.0, 0.0]
+        w[m] = 1.0
         for p in accepted:
-            w = w - float(np.einsum("ij,i,j->", g, w, p)) * p
-        n2 = float(np.einsum("ij,i,j->", g, w, w))
-        if n2 <= 1e-12 * float(g[m, m]):
+            k = _diagonal_dot(g, w, p)
+            w = [a - k * b for a, b in zip(w, p)]
+        n2 = _diagonal_dot(g, w, w)
+        if n2 <= 1e-12 * g[m]:
             continue  # candidate parallel to the tangent
-        w = w / math.sqrt(n2)
-        accepted.append(w)
-        out.append(w)
-        if len(out) == 2:
-            return out[0], out[1]
+        norm = math.sqrt(n2)
+        accepted.append([c / norm for c in w])
+        if len(accepted) == 3:
+            return np.array(accepted[1]), np.array(accepted[2])
     raise DomainError("degenerate initial frame")
 
 
@@ -271,11 +276,6 @@ def _product_cut(row, state, times):
     return n
 
 
-# Product samples are filled this many at a time, so the temporaries stay
-# small next to the sample arrays themselves.
-_PRODUCT_SLAB = 8192
-
-
 def _product_samples(state, times):
     """Exact Product flow of one initial state (12,): (q, v, e1, e2), each (N, 3), at times.
 
@@ -283,26 +283,17 @@ def _product_samples(state, times):
     (see _mobius_factors).  The horizontal part of every transported
     vector, as a complex number, is multiplied by
     E = (d_y + i d_x)/(c + i d_x), c = d_y cosh s - sinh s, |c + i d_x| = D.
+    E is divided by D twice, as 1/D^2 leaves the float range from |s| ~ 355.
     Every time must be kept by _product_cut.
     """
     x0, y0, t0, vx, vy, vt = (float(c) for c in state[:6])
-    n = len(times)
-    q, v, e1, e2 = (np.empty((n, 3)) for _ in range(4))
-    vectors = ((v, vx, vy, vt), (e1, *state[6:9]), (e2, *state[9:12]))
-    for k0 in range(0, n, _PRODUCT_SLAB):
-        k = slice(k0, min(k0 + _PRODUCT_SLAB, n))
-        dx, dy, cp, cm, ek, mk, Dk = _mobius_factors(state, times[k])
-        q[k, 0] = x0 + (y0 * dx) * (0.5 * (ek - mk)) / Dk
-        q[k, 1] = y0 / Dk
-        q[k, 2] = t0 + vt * times[k]
-        c = 0.5 * (cm * mk - cp * ek)
-        inv = 1.0 / (Dk * Dk)
-        er = (dy * c + dx * dx) * inv
-        ei = dx * (c - dy) * inv
-        for w, wx, wy, wt in vectors:
-            w[k, 0] = er * wx - ei * wy
-            w[k, 1] = er * wy + ei * wx
-            w[k, 2] = wt
+    dx, dy, cp, cm, es, em, D = _mobius_factors(state, times)
+    q = np.column_stack([x0 + (y0 * dx) * (0.5 * (es - em)) / D, y0 / D, t0 + vt * times])
+    c = 0.5 * (cm * em - cp * es)
+    er = (dy * c + dx * dx) / D / D
+    ei = dx * (c - dy) / D / D
+    v, e1, e2 = (np.column_stack([er * wx - ei * wy, er * wy + ei * wx, np.full_like(times, wt)])
+                 for wx, wy, wt in ((vx, vy, vt), state[6:9], state[9:12]))
     # the flow at t = 0 is the identity, exactly
     q[0], v[0], e1[0], e2[0] = state[0:3], state[3:6], state[6:9], state[9:12]
     return q, v, e1, e2
@@ -319,7 +310,7 @@ def _integrate_batch(spec, q0s, v0s, T, step):
         raise DomainError(f"step must be > 0, got {step}")
     q0s = np.asarray(q0s, dtype=float)
     v0s = np.asarray(v0s, dtype=float)
-    speeds = np.einsum("bij,bi,bj->b", metric_many(spec, q0s), v0s, v0s)
+    speeds = inner_many(spec, q0s, v0s, v0s)
     bad = np.flatnonzero(np.abs(speeds - 1.0) > UNIT_SPEED_TOL)
     if len(bad):
         raise DomainError(f"row {bad[0]}: velocity is not unit speed: g(v, v) = {speeds[bad[0]]}")
@@ -332,10 +323,7 @@ def _integrate_batch(spec, q0s, v0s, T, step):
     state[:, 0:3] = q0s
     state[:, 3:6] = v0s
     for b in range(B):
-        x, y, t = q0s[b]
-        e1, e2 = initial_frame(spec, ChartPoint(float(x), float(y), float(t)), v0s[b])
-        state[b, 6:9] = e1
-        state[b, 9:12] = e2
+        state[b, 6:12] = np.concatenate(initial_frame(spec, ChartPoint(*q0s[b].tolist()), v0s[b]))
 
     n_full = int(math.floor(T / step + 1e-9))
     rem = T - n_full * step
@@ -376,14 +364,12 @@ def integrate_geodesic_batch(spec: MetricSpec, q0s, v0s, T: float,
 
 def speed_drift(traj: Trajectory) -> float:
     """max_t |g(v, v) - 1| over the samples."""
-    g = metric_many(traj.spec, traj.q)
-    s = np.einsum("kij,ki,kj->k", g, traj.v, traj.v)
+    s = inner_many(traj.spec, traj.q, traj.v, traj.v)
     return float(np.max(np.abs(s - 1.0)))
 
 
 def frame_gram_error(traj: Trajectory) -> float:
     """max deviation of the (e1, e2, e3) Gram matrix from the identity."""
-    g = metric_many(traj.spec, traj.q)
     vecs = np.stack([traj.e1, traj.e2, traj.v], axis=1)  # (N, 3, 3)
-    gram = np.einsum("kij,kai,kbj->kab", g, vecs, vecs)
+    gram = inner_many(traj.spec, traj.q[:, None, None], vecs[:, :, None], vecs[:, None, :])
     return float(np.max(np.abs(gram - np.eye(3))))

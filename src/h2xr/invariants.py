@@ -20,7 +20,7 @@ from .hyperbolic import (
     MobiusElement,
     translation_length,
 )
-from .metrics import MetricSpec, fiber, r_v_operator_many, volume_density_many
+from .metrics import MetricSpec, _r_v, fiber
 
 MAX_WORD_LENGTH = 8
 DEDUP_TOL = 1e-9
@@ -321,12 +321,12 @@ def curvature_deviation(spec: MetricSpec, box, n: int, seed: int) -> DeviationEs
     q = np.column_stack([
         rng.uniform(x0, x1, n), rng.uniform(y0, y1, n), rng.uniform(t0, t1, n)
     ])
-    rv = r_v_operator_many(spec, q)
+    phi, (dphi_x, dphi_y), hess = fiber(spec, q)
+    rv = _r_v(q[:, 1], phi, hess)
     rv2 = np.einsum("bij,bij->b", rv, rv)
     # |nabla V|^2 of the unit vertical field V = d_t / phi is |grad phi|^2 / phi^2
-    phi, (dphi_x, dphi_y) = fiber(spec, q)
     grad_v2 = q[:, 1] ** 2 * (dphi_x * dphi_x + dphi_y * dphi_y) / (phi * phi)
-    integrand = (rv2 + grad_v2) * volume_density_many(spec, q)
+    integrand = (rv2 + grad_v2) * (phi / (q[:, 1] * q[:, 1]))   # volume density sqrt(det g)
     coord_vol = (x1 - x0) * (y1 - y0) * (t1 - t0)
     est = coord_vol * float(np.mean(integrand))
     se = coord_vol * float(np.std(integrand, ddof=1) / math.sqrt(n))

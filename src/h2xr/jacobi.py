@@ -46,14 +46,7 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .geodesics import Trajectory, _rhs, _rk4_step, integrate_geodesic_batch
-from .metrics import (
-    ChartPoint,
-    MetricSpec,
-    fiber,
-    fiber_hessian,
-    metric_many,
-    r_v_operator_many,
-)
+from .metrics import ChartPoint, MetricSpec, _r_v, fiber, inner_many
 
 RICCATI_BLOWUP = 1e6
 CONJUGATE_REFINE_TOL = 1e-8
@@ -111,10 +104,9 @@ def _rperp(spec, q, v, e):
     if spec.kind != "Product":
         ax, ay, bx, by = (v[..., 2] * e[..., a, i] - e[..., a, 2] * v[..., i]
                           for a in (0, 1) for i in (0, 1))      # xi_1 = (ax, ay), xi_2 = (bx, by)
-        hess = fiber_hessian(spec, q)
+        phi, _, hess = fiber(spec, q)
         p, r, s = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
         hax, hay = ax * p + ay * r, ax * r + ay * s             # Hess phi xi_1
-        phi = fiber(spec, q)[0]
         out[..., 0, 0] -= phi * (hax * ax + hay * ay)
         out[..., 1, 1] -= phi * ((bx * p + by * r) * bx + (bx * r + by * s) * by)
         out[..., 0, 1] -= phi * (hax * bx + hay * by)
@@ -467,7 +459,7 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
     pts = np.array([sampler(rng) for _ in range(n)])
-    phi, (dphi_x, dphi_y) = fiber(spec, pts)
+    phi, (dphi_x, dphi_y), hess = fiber(spec, pts)
     grad = pts[:, 1] * np.hypot(dphi_x, dphi_y)  # |grad phi|_g
     keep = grad <= _VERTICAL_GEODESIC_TOL
     n_rej = int(n - keep.sum())
@@ -476,9 +468,9 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
             "more than half of the sampled vertical curves are not geodesics",
             n_samples=n, n_rejected=n_rej,
         )
-    pts = pts[keep]
+    pts, phi, hess = pts[keep], phi[keep], hess[keep]
     v0 = np.zeros_like(pts)
-    v0[:, 2] = 1.0 / phi[keep]
+    v0[:, 2] = 1.0 / phi
 
     trajs = integrate_geodesic_batch(spec, pts, v0, anchor, step)
     cut = [b for b, t in enumerate(trajs) if t.truncated]
@@ -486,7 +478,7 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
         raise NumericsError("vertical geodesic left the chart", row=cut[0])
     # copy row 0: a view would keep each row's whole U alive
     u0 = np.stack([U[0].copy() for U in _stable_tensors(trajs, trajs[0].n_samples - 1)])
-    rv = r_v_operator_many(spec, pts)
+    rv = _r_v(pts[:, 1], phi, hess)
     values = np.einsum("bij,bji->b", u0, u0) + np.trace(rv, axis1=-2, axis2=-1)
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
@@ -524,7 +516,6 @@ def rauch_check(run: JacobiRun, k_min: float) -> RauchReport:
     if traj.spec.kind != "Product":
         raise DomainError("comparison is stated for the split (Product) metric")
     B, _ = companion_propagator(traj)
-    g = metric_many(traj.spec, traj.q)
     vert = np.zeros_like(traj.q)
     vert[:, 2] = 1.0 / traj.spec.L
     om = math.sqrt(max(-k_min, 0.0))
@@ -535,7 +526,7 @@ def rauch_check(run: JacobiRun, k_min: float) -> RauchReport:
         coeff = B @ j0                       # (N, 2) frame components
         jvec = coeff[:, :1] * traj.e1 + coeff[:, 1:] * traj.e2
         jn2 = np.einsum("ki,ki->k", coeff, coeff)
-        jv = np.einsum("kij,ki,kj->k", g, jvec, vert)
+        jv = inner_many(traj.spec, traj.q, jvec, vert)
         jh2_0 = jn2[0] - jv[0] ** 2
         bound = jh2_0 * np.cosh(om * t) ** 2 + jv[0] ** 2
         margin = (jn2 - bound) / np.maximum(bound, 1e-30)
@@ -588,14 +579,12 @@ DEFAULT_SCAN_BOX = BoxSampler()
 
 def _draw_initial_conditions(spec, indices, seed, box):
     q0s = np.empty((len(indices), 3))
-    v0s = np.empty((len(indices), 3))
+    w = np.empty((len(indices), 3))
     for row, i in enumerate(indices):
         rng = np.random.default_rng([seed, i])
         q0s[row] = box(rng)
-        w = rng.normal(size=3)
-        g = metric_many(spec, q0s[row][None, :])[0]
-        v0s[row] = w / math.sqrt(float(np.einsum("ij,i,j->", g, w, w)))
-    return q0s, v0s
+        w[row] = rng.normal(size=3)
+    return q0s, w / np.sqrt(inner_many(spec, q0s, w, w))[:, None]
 
 
 def _scan_values(trajs):

@@ -9,16 +9,18 @@ y > 0 and t the fiber coordinate:
            potential; the first-order fiber shear generated by h
 
 All three are the warped product H^2 x_phi R with phi = L, f(rho) or
-1 + alpha h, so the geometry is closed form in (phi, dphi, Hess phi)
+1 + alpha h, so the geometry is closed form in the jet (phi, dphi, Hess phi)
 (O'Neill, Semi-Riemannian Geometry, ch. 7; Bishop & O'Neill 1969).  The
-fiber kernel `fiber` / `fiber_hessian` is the only code that knows how
-each kind builds phi; everything else reads from it:
+kernel `fiber` returns the jet from one evaluation; `_fiber` is its
+first-order part, which the RK4 derivative reads, and `_fiber_point` that
+part on floats.  Only they know how each kind builds phi:
 
   Gamma^t_{it} = d_i phi / phi,  Gamma^i_{tt} = -phi y^2 d_i phi,
   plus the hyperbolic base block;
   R4 = the K = -1 base block, R4[a, t, b, t] = -phi Hess phi_ab, and
   every component with one or three t indices zero;
-  R_V = -y^2 Hess phi / phi in the orthonormal horizontal frame.
+  R_V = -y^2 Hess phi / phi in the orthonormal horizontal frame;
+  g = diag(1/y^2, 1/y^2, phi^2), which `inner_many` contracts directly.
 
 Index conventions, used consistently everywhere downstream:
 
@@ -340,29 +342,26 @@ def _fiber_point(spec: MetricSpec):
 
 
 def fiber(spec: MetricSpec, q):
-    """(phi, (d_x phi, d_y phi)) for a batch of points, phi = sqrt(g_tt).
+    """The jet (phi, (d_x phi, d_y phi), Hess phi) for a batch of points, phi = sqrt(g_tt).
 
     phi is L for Product, f(rho) for Warped and 1 + alpha h for Twisted;
-    the partials are coordinate partials, arrays shaped like phi.
-    """
-    return _fiber(spec, _check_points(q))
-
-
-def fiber_hessian(spec: MetricSpec, q) -> np.ndarray:
-    """Covariant Hessian of phi on H^2 in coordinates, shape (..., 2, 2).
+    the partials are coordinate partials, arrays shaped like phi, and
+    Hess phi is the covariant Hessian on H^2 in coordinates, (..., 2, 2).
+    Warped evaluates one radius and one profile for all three.
 
     Warped: Hess f(rho) = f'' drho drho + (f'/tanh rho)(g_H - drho drho),
     using Hess rho = coth(rho) (g_H - drho drho); at the center f'/tanh rho
     tends to f''(0) and the Hessian is f''(0) g_H.
     """
     q = _check_points(q)
-    if spec.kind == "Product":
-        return np.zeros(q.shape[:-1] + (2, 2))
-    if spec.kind == "Twisted":
+    if spec.kind != "Warped":
+        phi, dphi = _fiber(spec, q)
+        if spec.kind == "Product":
+            return phi, dphi, np.zeros(q.shape[:-1] + (2, 2))
         hess = get_potential(spec.potential).hess(q[..., 0], q[..., 1])
-        return spec.alpha * np.asarray(hess, dtype=float)
+        return phi, dphi, spec.alpha * np.asarray(hess, dtype=float)
     rho, drx, dry = _warp_radius_and_grad(spec.warp, q)
-    _, fp, fpp = spec.warp.eval_many(rho)
+    f, fp, fpp = spec.warp.eval_many(rho)
     th = np.tanh(rho)
     angular = np.where(th > 0.0, fp / np.where(th > 0.0, th, 1.0), fpp)
     radial = fpp - angular
@@ -371,7 +370,7 @@ def fiber_hessian(spec: MetricSpec, q) -> np.ndarray:
     hess[..., 0, 0] = radial * drx * drx + g_h
     hess[..., 0, 1] = hess[..., 1, 0] = radial * drx * dry
     hess[..., 1, 1] = radial * dry * dry + g_h
-    return hess
+    return f, (fp * drx, fp * dry), hess
 
 
 def metric_many(spec: MetricSpec, q) -> np.ndarray:
@@ -386,11 +385,28 @@ def metric_many(spec: MetricSpec, q) -> np.ndarray:
     return g
 
 
-def volume_density_many(spec: MetricSpec, q) -> np.ndarray:
-    """sqrt(det g) in chart coordinates."""
+def _diagonal_dot(g, a, b):
+    """g(a, b) for g = (g_xx, g_yy, g_tt) and components a[i], b[i], floats or arrays.
+
+    Summed in np.einsum's order over metric_many's full tensor, so with its
+    bits, except that an exact zero may be -0.0 where einsum gives +0.0.
+    """
+    return (g[0] * a[0]) * b[0] + (g[1] * a[1]) * b[1] + (g[2] * a[2]) * b[2]
+
+
+def inner_many(spec: MetricSpec, q, a, b) -> np.ndarray:
+    """g(a, b) at a batch of points q (..., 3) for vectors a, b (..., 3) that broadcast with it."""
     q = _check_points(q)
-    y = q[..., 1]
-    return _fiber(spec, q)[0] / (y * y)
+    inv_y2 = 1.0 / (q[..., 1] * q[..., 1])
+    g = (inv_y2, inv_y2, _fiber(spec, q)[0] ** 2)
+    return _diagonal_dot(g, np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0))
+
+
+def _diagonal_at(spec: MetricSpec, p: ChartPoint) -> tuple:
+    """metric_many's diagonal (g_xx, g_yy, g_tt) at one point, as floats."""
+    phi = float(spec.L) if spec.kind == "Product" else _fiber_point(spec)(p.x, p.y)[0]
+    inv_y2 = 1.0 / (p.y * p.y)
+    return inv_y2, inv_y2, phi * phi
 
 
 def christoffel_many(spec: MetricSpec, q) -> np.ndarray:
@@ -435,14 +451,14 @@ def curvature_tensor_many(spec: MetricSpec, q) -> np.ndarray:
     """
     q = _check_points(q)
     inv_y2 = 1.0 / (q[..., 1] * q[..., 1])
-    phi = _fiber(spec, q)[0]
+    phi, _, hess = fiber(spec, q)
     r4 = np.zeros(q.shape[:-1] + (3, 3, 3, 3))
     base = inv_y2 * inv_y2          # -K g_xx g_yy
     r4[..., 0, 1, 0, 1] = -base
     r4[..., 1, 0, 1, 0] = -base
     r4[..., 0, 1, 1, 0] = base
     r4[..., 1, 0, 0, 1] = base
-    mixed = -phi[..., None, None] * fiber_hessian(spec, q)
+    mixed = -phi[..., None, None] * hess
     r4[..., 0:2, 2, 0:2, 2] = mixed
     r4[..., 2, 0:2, 2, 0:2] = mixed
     r4[..., 0:2, 2, 2, 0:2] = -mixed
@@ -471,6 +487,11 @@ def r_v_operator_many(spec: MetricSpec, q) -> np.ndarray:
     the fiber kernel rather than from the full R4.
     """
     q = _check_points(q)
-    phi = _fiber(spec, q)[0]
-    scale = q[..., 1] * q[..., 1] / (phi * phi)
-    return scale[..., None, None] * (-phi[..., None, None] * fiber_hessian(spec, q))
+    phi, _, hess = fiber(spec, q)
+    return _r_v(q[..., 1], phi, hess)
+
+
+def _r_v(y, phi, hess):
+    """r_v_operator_many from the jet (phi, Hess phi) at points with ordinate y."""
+    scale = y * y / (phi * phi)
+    return scale[..., None, None] * (-phi[..., None, None] * hess)

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from h2xr import geodesics
 from h2xr.errors import DomainError, NumericsError
@@ -23,7 +24,7 @@ from h2xr.geodesics import (
     unit_vector,
 )
 from h2xr.jacobi import DEFAULT_SCAN_BOX, _draw_initial_conditions
-from h2xr.metrics import ChartPoint, MetricSpec, christoffel_many
+from h2xr.metrics import ChartPoint, MetricSpec, christoffel_many, metric_many
 
 PROD = MetricSpec.product(1.0)
 WARP = MetricSpec.warped(eps=0.1)
@@ -143,6 +144,8 @@ def test_frame_ordering_horizontal_run():
     e1, e2 = initial_frame(PROD, ORIGIN, v0)
     assert e1 == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
     assert e2 == pytest.approx([0.0, 0.0, 1.0], abs=1e-14)
+    with pytest.raises(DomainError):
+        initial_frame(PROD, ORIGIN, [0.0, -0.0, 0.0])
 
 
 def test_truncation_at_chart_floor():
@@ -317,3 +320,53 @@ def test_product_fiber_length_two_exact_invariants():
     tr = integrate_geodesic(spec, q0, unit_vector(spec, q0, [0.4, -0.8, 0.6]), T=8.0)
     assert speed_drift(tr) <= 1e-14
     assert frame_gram_error(tr) <= 1e-14
+
+
+def test_long_upward_product_row_stays_finite():
+    # straight up for T = 500: y = e^t reaches 1.4e217, well past t = 355,
+    # where 1/D^2 leaves the float range.  The frame stays finite and
+    # g-orthonormal; g_xx = 1/y^2 underflows there, so the Gram matrix is
+    # taken with the horizontal parts divided by y (L = 1)
+    v0 = unit_vector(PROD, ORIGIN, [0, 1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = integrate_geodesic(PROD, ORIGIN, v0, T=500.0, step=0.5)
+        q, vecs = tr.q, np.stack([tr.e1, tr.e2, tr.v], axis=1)   # (N, 3, 3)
+    assert (tr.truncated, tr.T) == (False, 500.0)
+    assert np.isfinite(q).all() and np.isfinite(vecs).all()
+    scaled = vecs / np.stack([q[:, 1], q[:, 1], np.ones(len(q))], axis=1)[:, None, :]
+    gram = np.einsum("kai,kbi->kab", scaled, scaled)
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
+
+
+def einsum_frame(spec, q, v):
+    """Gram-Schmidt of d_x, d_y, d_t against v with np.einsum over metric_many's 3 x 3 tensor."""
+    g = metric_many(spec, q.as_array()[None])[0]
+
+    def dot(a, b):
+        return float(np.einsum("ij,i,j->", g, a, b))
+
+    basis = [v / math.sqrt(dot(v, v))]
+    for m in range(3):
+        w = np.eye(3)[m]
+        for p in basis:
+            w = w - dot(w, p) * p
+        if dot(w, w) > 1e-12 * g[m, m]:
+            basis.append(w / math.sqrt(dot(w, w)))
+    return basis[1], basis[2]
+
+
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
+
+
+@given(spec=st.sampled_from([PROD, MetricSpec.product(2.5), MetricSpec.warped(0.3, HPoint(0.1, 1.2)),
+                             TWIST, MetricSpec.twisted(-0.1, "log_y")]),
+       x=st.floats(-2.0, 2.0), y=st.floats(0.05, 4.0),
+       v=st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(lambda v: max(map(abs, v)) > 1e-100))
+def test_initial_frame_matches_full_metric_gram_schmidt(spec, x, y, v):
+    # the float Gram-Schmidt on the diagonal metric gives the bits of the
+    # one over the full tensor, sign of zero included
+    q = ChartPoint(x, y, 0.0)
+    v = np.array(v)
+    for got, want in zip(initial_frame(spec, q, v), einsum_frame(spec, q, v)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

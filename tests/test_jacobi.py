@@ -38,7 +38,7 @@ from h2xr.jacobi import (
     _rperp,
     _scan_chunk,
 )
-from h2xr.metrics import ChartPoint, MetricSpec, fiber, fiber_hessian, r_v_operator_many
+from h2xr.metrics import ChartPoint, MetricSpec, fiber, r_v_operator_many
 from oracles import riccati_from_jacobi
 
 PROD = MetricSpec.product(1.0)
@@ -245,8 +245,8 @@ def test_rperp_kernel_symmetric_off_trajectory(kind, x, y, v, e):
     assert r[0, 1] == r[1, 0]
     c = _base_coupling(q, v, e)[0]
     xi = v[0, None, 2:3] * e[0, :, 0:2] - e[0, :, 2:3] * v[0, None, 0:2]
-    hess = fiber_hessian(spec, q)[0]
-    phi = fiber(spec, q)[0][0]
+    phi, _, hess = fiber(spec, q)
+    phi, hess = phi[0], hess[0]
     ref = -np.outer(c, c) - phi * (xi @ hess @ xi.T)
     scale = c @ c + abs(phi) * np.sum(xi * xi) * np.max(np.abs(hess))
     assert np.max(np.abs(r - ref)) <= 4.0 * np.finfo(float).eps * scale

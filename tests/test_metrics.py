@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from h2xr.errors import DomainError
 from h2xr.hyperbolic import HPoint
@@ -19,6 +19,7 @@ from h2xr.metrics import (
     curvature_tensor_many,
     fiber,
     get_potential,
+    inner_many,
     metric_many,
     r_v_operator_many,
 )
@@ -108,9 +109,9 @@ def assert_scalar_fiber_matches(spec, pts):
     """_fiber_point equals fiber bit for bit, sign of zero included, on the
     whole batch of points and on each point alone."""
     one = _fiber_point(spec)
-    phi, (dx, dy) = fiber(spec, pts)
+    phi, (dx, dy), _ = fiber(spec, pts)
     for k, (x, y, _) in enumerate(pts.tolist()):
-        lone_phi, (lone_dx, lone_dy) = fiber(spec, pts[k:k + 1])
+        lone_phi, (lone_dx, lone_dy), _ = fiber(spec, pts[k:k + 1])
         expected = np.array([[phi[k], dx[k], dy[k]], [lone_phi[0], lone_dx[0], lone_dy[0]]])
         got = np.array([one(x, y)] * 2)
         assert np.array_equal(got, expected), (spec, x, y, got, expected)
@@ -133,16 +134,18 @@ def warped_points(draw):
         st.floats(r1, r1 + 5.0),
         *(st.integers(-8, 8).map(lambda k, r=r: r * (1.0 + k * 2.0 ** -52)) for r in (r0, r1)),
     )
-    pts = []
-    for rho, theta in draw(st.lists(st.tuples(radius, st.floats(0.0, 2.0 * math.pi)),
-                                    min_size=1, max_size=8)):
-        # the point at distance rho from i in direction theta (disk model),
-        # moved to the centre by the isometry w -> cx + cy w
-        z = math.tanh(rho / 2.0) * complex(math.cos(theta), math.sin(theta))
-        w = 1j * (1.0 + z) / (1.0 - z)
-        c = spec.warp.center
-        pts.append([c.x + c.y * w.real, c.y * w.imag, 0.0])
+    pts = [point_from_center(spec.warp.center, rho, theta)
+           for rho, theta in draw(st.lists(st.tuples(radius, st.floats(0.0, 2.0 * math.pi)),
+                                           min_size=1, max_size=8))]
     return spec, np.array(pts)
+
+
+def point_from_center(c, rho, theta):
+    """The chart point at hyperbolic distance rho from c in direction theta."""
+    # from i in the disk model, moved to c by the isometry w -> cx + cy w
+    z = math.tanh(rho / 2.0) * complex(math.cos(theta), math.sin(theta))
+    w = 1j * (1.0 + z) / (1.0 - z)
+    return [c.x + c.y * w.real, c.y * w.imag, 0.0]
 
 
 @given(warped_points())
@@ -159,8 +162,67 @@ def test_scalar_fiber_matches_kernel_twisted(potential, alpha, pts):
 
 
 # ---------------------------------------------------------------------------
+# the jet (phi, grad phi, Hess phi) against finite differences
+# ---------------------------------------------------------------------------
+
+@st.composite
+def smooth_jet_cases(draw):
+    """(spec, x, y) where phi is smooth: Twisted anywhere, Warped off the
+    centre and at least 0.02 in rho from the junctions r0 and r1."""
+    potential = draw(st.sampled_from(["warp", "x", "log_y"]))
+    if potential != "warp":
+        spec = MetricSpec.twisted(draw(st.floats(-0.3, 0.3)), potential)
+        return spec, draw(st.floats(-3.0, 3.0)), draw(st.floats(0.05, 5.0))
+    r0 = draw(st.floats(0.2, 1.0))
+    r1 = r0 + draw(st.floats(0.1, 0.5))
+    spec = MetricSpec.warped(eps=draw(st.floats(0.01, 0.5)),
+                             center=HPoint(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 2.0))),
+                             r0=r0, r1=r1)
+    rho = draw(st.one_of(st.floats(0.05, r0 - 0.02), st.floats(r0 + 0.02, r1 - 0.02),
+                         st.floats(r1 + 0.02, r1 + 3.0)))
+    x, y, _ = point_from_center(spec.warp.center, rho, draw(st.floats(0.0, 2.0 * math.pi)))
+    return spec, x, y
+
+
+@settings(max_examples=60)
+@given(smooth_jet_cases())
+def test_jet_matches_finite_differences(case):
+    # oracle: central differences of phi for grad phi, and of grad phi for
+    # the coordinate second derivatives, minus Gamma^c_ab d_c phi with the
+    # hyperbolic Christoffels (Gamma^x_xy = Gamma^y_yy = -1/y, Gamma^y_xx = 1/y)
+    spec, x, y = case
+    h = 1e-6 * y
+    pts = np.array([[x, y, 0.0], [x + h, y, 0.0], [x - h, y, 0.0], [x, y + h, 0.0], [x, y - h, 0.0]])
+    phi, (dx, dy), hess = fiber(spec, pts)
+    fd_grad = np.array([phi[1] - phi[2], phi[3] - phi[4]]) / (2.0 * h)
+    fd_hess = np.array([[dx[1] - dx[2], dx[3] - dx[4]], [dy[1] - dy[2], dy[3] - dy[4]]]) / (2.0 * h)
+    fd_hess += np.array([[-dy[0], dx[0]], [dx[0], dy[0]]]) / y
+    grad = np.array([dx[0], dy[0]])
+    scale1 = abs(phi[0]) / y + np.max(np.abs(grad))        # phi per unit of x or y
+    scale2 = scale1 / y + np.max(np.abs(hess[0]))
+    assert np.max(np.abs(fd_grad - grad)) <= 1e-8 * scale1
+    assert np.max(np.abs(fd_hess - hess[0])) <= 1e-8 * scale2
+
+
+# ---------------------------------------------------------------------------
 # metric components
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [MetricSpec.product(2.0), WARP, MetricSpec.twisted(0.3, "x"),
+                                  MetricSpec.twisted(-0.2, "log_y")], ids=lambda s: s.kind)
+def test_inner_product_matches_full_metric_contraction(spec):
+    # the diagonal inner product has the bits of np.einsum over the full
+    # tensor; exact zeros may differ in sign only, which array_equal ignores
+    rng = np.random.default_rng(11)
+    pts = seeded_points(12, 400, y_range=(0.05, 4.0))
+    a, b = rng.normal(size=(2, 400, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 400, 1))
+    a[rng.random(a.shape) < 0.2] = -0.0
+    b[rng.random(b.shape) < 0.2] = 0.0
+    g = metric_many(spec, pts)
+    assert np.array_equal(inner_many(spec, pts, a, b), np.einsum("kij,ki,kj->k", g, a, b))
+    vecs = np.stack([a, b, a - b], axis=1)              # Gram matrices broadcast too
+    gram = inner_many(spec, pts[:, None, None], vecs[:, :, None], vecs[:, None, :])
+    assert np.array_equal(gram, np.einsum("kij,kai,kbj->kab", g, vecs, vecs))
 
 def test_metric_product():
     g = metric_many(MetricSpec.product(2.0), ChartPoint(3.0, 1.0, 0.5).as_array()[None])[0]

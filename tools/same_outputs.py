@@ -57,6 +57,12 @@ JOBS = [
           ("twisted", "kind: Twisted\npotential: x\nalpha: 0.05\ncount: 40\nTmax: 10\n"),
       )
       for w in (1, 2)),
+    # the Monte Carlo integral of |R_V|^2 + |nabla V|^2, read from the fiber jet
+    ("curvature-deviation-warped", "curvature-deviation",
+     "kind: Warped\neps: 0.4\nbox_x0: -0.6\nbox_x1: 0.6\nbox_y0: 0.5\nbox_y1: 1.8\nN: 4000\n", 1),
+    ("curvature-deviation-twisted-x", "curvature-deviation",
+     "kind: Twisted\npotential: x\nalpha: 0.05\nN: 4000\n", 1),
+    ("curvature-deviation-product", "curvature-deviation", "kind: Product\nL: 2\nN: 500\n", 1),
     # the scan_product benchmark workload: one 32-row chunk at Tmax = 50
     ("scan-product-bench", "scan-conjugate",
      "kind: Product\nL: 1.0\ncount: 32\nTmax: 50.0\nstep: 0.001\nseed: 0\n", 1),
