@@ -4,6 +4,9 @@ Each claim pairs a published expected value with a freshly computed one
 and a tolerance.  Status is MATCH/MISMATCH for asserted claims;
 REPORT_ONLY marks claims the desk analysis contradicts or that carry no
 asserted number -- the ledger shows both values without passing them.
+
+Both Example 2 claims read one Jacobi run of the central Warped geodesic
+to T = 10, built once per evaluate_claims call and dropped on return.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .metrics import ChartPoint, MetricSpec, curvature_at
 OMEGA_WARPED = math.sqrt(0.2 / 1.05)          # oscillator rate at eps = 0.1
 WARPED_SPEC = MetricSpec.warped(eps=0.1)
 CENTER = ChartPoint(0.0, 1.0, 0.0)
+CENTRAL_T = 10.0        # horizon of the central run, which holds the conjugate point
+FREQUENCY_FIT_T = 7.0   # the oscillator fit reads the samples with t <= this
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,14 @@ class Claim:
     tolerance: float | None
     compute: object
     report_only: bool = False
+    reads_central_run: bool = False   # compute takes _central_run()'s run, not the seed
 
-    def evaluate(self, seed: int) -> ClaimRecord:
-        computed = float(self.compute(seed))
+    def evaluate(self, seed: int, central_run=None) -> ClaimRecord:
+        """central_run returns the shared central run; by default this claim builds its own."""
+        if self.reads_central_run:
+            computed = float(self.compute((central_run or _central_run)()))
+        else:
+            computed = float(self.compute(seed))
         if self.report_only:
             status = "REPORT_ONLY"
         elif abs(computed - self.paper_value) <= self.tolerance:
@@ -106,20 +116,27 @@ def _product_scan_detections(seed):
     return sum(1 for r in rows if r.t_star is not None)
 
 
-def _warped_conjugate(seed):
+def _central_run():
+    """JacobiRun of the central vertical geodesic of WARPED_SPEC to CENTRAL_T, step 1e-3.
+
+    RK4, the half-step R_perp grid and the Jacobi pair are causal, so its
+    samples up to FREQUENCY_FIT_T have the bits of a run to that time.
+    """
     v0 = unit_vector(WARPED_SPEC, CENTER, [0, 0, 1])
-    t_star = jacobi.first_conjugate_point(WARPED_SPEC, CENTER, v0, Tmax=10.0)
-    if t_star is None:
+    tr = integrate_geodesic(WARPED_SPEC, CENTER, v0, T=CENTRAL_T, step=1e-3)
+    return jacobi.propagate_jacobi(tr)
+
+
+def _warped_conjugate(run):
+    if not run.conjugates:
         raise NumericsError("no conjugate point detected on the central geodesic",
-                            Tmax=10.0)
-    return t_star
+                            Tmax=CENTRAL_T)
+    return run.conjugates[0]
 
 
-def _warped_frequency(seed):
-    v0 = unit_vector(WARPED_SPEC, CENTER, [0, 0, 1])
-    tr = integrate_geodesic(WARPED_SPEC, CENTER, v0, T=7.0, step=1e-3)
-    run = jacobi.propagate_jacobi(tr)
-    return jacobi.fit_frequency(run.times, run.A[:, 0, 0])
+def _warped_frequency(run):
+    n = int(np.searchsorted(run.times, FREQUENCY_FIT_T, side="right"))
+    return jacobi.fit_frequency(run.times[:n], run.A[:n, 0, 0])
 
 
 def _rauch_equality(seed):
@@ -272,8 +289,10 @@ CLAIMS = (
     Claim("example1_sectional_curvatures", 0.0, 1e-12, _sectional_deviation),
     Claim("example1_ricci", 0.0, 1e-12, _ricci_deviation),
     Claim("example1_no_conjugate_points", 0.0, 0.0, _product_scan_detections),
-    Claim("example2_conjugate_distance", 7.20, 0.005 * 7.20, _warped_conjugate),
-    Claim("example2_oscillator_frequency", 0.436, 0.01 * 0.436, _warped_frequency),
+    Claim("example2_conjugate_distance", 7.20, 0.005 * 7.20, _warped_conjugate,
+          reads_central_run=True),
+    Claim("example2_oscillator_frequency", 0.436, 0.01 * 0.436, _warped_frequency,
+          reads_central_run=True),
     Claim("rauch_split_equality", 0.0, 1e-6, _rauch_equality),
     Claim("stable_riccati_h2_factor", -1.0, 1e-4, _stable_riccati),
     Claim("riccati_trace_identity_product", 0.0, 1e-8, _riccati_average_product),
@@ -301,4 +320,11 @@ CLAIMS = (
 
 def evaluate_claims(seed: int = 0):
     """Evaluate every registered claim; deterministic in the seed."""
-    return [c.evaluate(seed) for c in CLAIMS]
+    runs = []   # the central run, built when a claim first reads it
+
+    def central_run():
+        if not runs:
+            runs.append(_central_run())
+        return runs[0]
+
+    return [c.evaluate(seed, central_run) for c in CLAIMS]

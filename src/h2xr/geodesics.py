@@ -13,10 +13,11 @@ state (q, v, e1, e2); the frame is transported in the same step so
 geodesic and frame stay phase locked.  Batches of initial conditions
 integrate simultaneously as (B, 12) arrays, which is what makes the
 large scans in the conjugate-point module affordable.  A lone row
-(B = 1) steps through the same `_rk4_step`, but its derivative comes
-from `_rhs_one` on Python floats: numpy's per-call cost on 1-element
-arrays would be most of its step.  `_rk4_step`, the
-package's one RK4 step, also steps `jacobi`'s (A, A') and Riccati U; its
+(B = 1) steps on Python floats instead (`_rk4_lone`, derivatives from
+`_rhs_one`): numpy's per-call cost on 1-element arrays would be most of
+its step.  It repeats `_rk4_step`'s operations in the same order, so it
+gets the bits it would get in a batch.  `_rk4_step`, the package's one
+RK4 step on arrays, also steps `jacobi`'s (A, A') and Riccati U; its
 f(y, i) gets the stage node i = 0, 1, 1, 2 (start, midpoint, midpoint,
 end), which the autonomous geodesic flow ignores.
 
@@ -184,7 +185,11 @@ def _rhs_one(fiber, s: list) -> list:
 
 
 def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of y' = f(y, i), i = 0, 1, 1, 2 the stage nodes (see above)."""
+    """One classical RK4 step of y' = f(y, i), i = 0, 1, 1, 2 the stage nodes (see above).
+
+    Batched geodesics, (A, A') and U step through it; _rk4_lone spells out
+    the same operations on a lone geodesic row's floats.
+    """
     k1 = f(y, 0)
     k2 = f(y + (0.5 * h) * k1, 1)
     k3 = f(y + (0.5 * h) * k2, 1)
@@ -200,16 +205,11 @@ def _rk4_rows(spec, state, times):
     """
     B, dim = state.shape
     if B == 1:
-        fiber = _fiber_point(spec)
+        return [_rk4_lone(spec, state[0].tolist(), times)]
 
-        def f(y, _):
-            try:
-                return np.array([_rhs_one(fiber, y[0].tolist())])
-            except ArithmeticError:  # a float divided by zero: numpy gives inf or nan
-                return np.full_like(y, np.nan)
-    else:
-        def f(y, _):
-            return _rhs(spec, y)
+    def f(y, _):
+        return _rhs(spec, y)
+
     n_steps = len(times) - 1
     samples = np.empty((B, n_steps + 1, dim))
     samples[:, 0] = state
@@ -236,6 +236,41 @@ def _rk4_rows(spec, state, times):
 
     return [tuple(samples[b, :counts[b], i:i + 3].copy() for i in (0, 3, 6, 9))
             for b in range(B)]
+
+
+def _rk4_lone(spec, y, times):
+    """_rk4_rows of one row, y its 12 floats: _rk4_step's operations, in its order, on floats.
+
+    The stages are y + (h/2) k and y + h k, the step y + (h/6)(k1 + 2 k2
+    + 2 k3 + k4) summed left to right, so the row gets its batch bits.
+    A float divided by zero, where numpy would give inf or nan, ends the
+    run as a non-finite state would.
+    """
+    fiber = _fiber_point(spec)
+    samples = np.empty((len(times), 12))
+    samples[0] = y
+    n = len(times)  # samples kept
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # numpy scalars in fiber
+        for k in range(n - 1):
+            h = float(times[k + 1] - times[k])
+            half, sixth = 0.5 * h, h / 6.0
+            try:
+                k1 = _rhs_one(fiber, y)
+                k2 = _rhs_one(fiber, [a + half * b for a, b in zip(y, k1)])
+                k3 = _rhs_one(fiber, [a + half * b for a, b in zip(y, k2)])
+                k4 = _rhs_one(fiber, [a + h * b for a, b in zip(y, k3)])
+                y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                finite = all(map(math.isfinite, y))
+            except ArithmeticError:
+                finite = False
+            if not finite:
+                raise NumericsError("non-finite integrator state", rows=[0], time=times[k])
+            if y[1] <= Y_FLOOR:
+                n = k + 1
+                break
+            samples[k + 1] = y
+    return tuple(samples[:n, i:i + 3].copy() for i in (0, 3, 6, 9))
 
 
 def _mobius_factors(state, times):
@@ -311,7 +346,7 @@ def _integrate_batch(spec, q0s, v0s, T, step):
     q0s = np.asarray(q0s, dtype=float)
     v0s = np.asarray(v0s, dtype=float)
     speeds = inner_many(spec, q0s, v0s, v0s)
-    bad = np.flatnonzero(np.abs(speeds - 1.0) > UNIT_SPEED_TOL)
+    bad = np.flatnonzero(~(np.abs(speeds - 1.0) <= UNIT_SPEED_TOL))  # a nan speed is bad too
     if len(bad):
         raise DomainError(f"row {bad[0]}: velocity is not unit speed: g(v, v) = {speeds[bad[0]]}")
     low = np.flatnonzero(q0s[:, 1] <= Y_FLOOR)

@@ -175,11 +175,14 @@ def test_riccati_average_warped_runs_at_the_bump_centre(tmp_path, capsys):
 
 
 def test_ledger_claim_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
-    from h2xr import claims, jacobi
+    from types import SimpleNamespace
 
+    from h2xr import claims
+
+    # the claim reads the shared central run; give it one without conjugates
     warped = next(c for c in claims.CLAIMS if c.claim_id == "example2_conjugate_distance")
     monkeypatch.setattr(claims, "CLAIMS", (warped,))
-    monkeypatch.setattr(jacobi, "first_conjugate_point", lambda *args, **kwargs: None)
+    monkeypatch.setattr(claims, "_central_run", lambda: SimpleNamespace(conjugates=[]))
     assert main(["ledger", "--out", str(tmp_path / "o")]) == 3
     assert "no conjugate point" in capsys.readouterr().err
 

@@ -216,13 +216,35 @@ def test_warped_blowup_is_a_numerics_error_without_warnings(rows, vy, T, step):
     # floating-point range; straight down from y = 1 with step 2, the
     # midpoint stage lands exactly on y = 0.  Either way the run stops with
     # NumericsError, and no numpy warning or Python float exception (a lone
-    # row steps on floats) gets out on the way
+    # row steps on floats) gets out on the way.  Both rows fail in the same
+    # step (up: the step from t = 356), and a lone row reports the step a batch does
     q0s = np.array([[5.0, 1.0, 0.0], [0.0, 1.0, 0.0]])[:rows]
     v0s = np.array([unit_vector(WARP, ChartPoint(*q), [0, vy, 0]) for q in q0s])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match="non-finite"):
+        with pytest.raises(NumericsError, match="non-finite") as err:
             integrate_geodesic_batch(WARP, q0s, v0s, T=T, step=step)
+    assert err.value.info == {"rows": list(range(rows)), "time": 356.0 if vy > 0 else 0.0}
+
+
+def test_lone_twisted_row_at_zero_shear_factor_fails_like_a_batch():
+    # phi = 1 + x: heading to -x from x = -0.5 the row meets phi = 0 inside
+    # a step, alone (on floats) as in a batch with a harmless vertical row
+    spec = MetricSpec.twisted(1.0, "x")
+    q0s = np.array([[-0.5, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    v0s = np.array([unit_vector(spec, ChartPoint(*q), d) for q, d in zip(q0s, ([-1, 0, 0], [0, 0, 1]))])
+    for rows in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="shear factor 1 \\+ alpha h reached zero"):
+                integrate_geodesic_batch(spec, q0s[:rows], v0s[:rows], T=5.0, step=1e-2)
+
+
+@pytest.mark.parametrize("spec", [PROD, WARP], ids=["product", "warped"])
+def test_nan_velocity_is_a_domain_error(spec):
+    # |nan - 1| > tol is False, so the unit-speed check must be written to fail on nan
+    with pytest.raises(DomainError, match="unit speed"):
+        integrate_geodesic(spec, ORIGIN, np.array([math.nan, 0.0, 1.0]), T=1.0, step=0.1)
 
 
 def test_geodesic_equation_residual_locally_small():

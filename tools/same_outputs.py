@@ -42,6 +42,9 @@ JOBS = [
      "kind: Twisted\npotential: x\nalpha: 0.05\nv0_x: 1\nv0_y: 0.3\nv0_t: 0.5\nT: 5\n", 1),
     ("jacobi-twisted-log_y", "jacobi",
      "kind: Twisted\nalpha: 0.05\nv0_x: 1\nv0_y: 0.3\nv0_t: 0.5\nT: 5\n", 1),
+    # Twisted, straight down: the lone row, stepped on floats, is cut at Y_FLOOR
+    ("jacobi-twisted-floor", "jacobi",
+     "kind: Twisted\npotential: log_y\nalpha: 0.001\nv0_x: 0\nv0_y: -1\nv0_t: 0\nT: 20\nstep: 0.01\n", 1),
     ("riccati-stable-warped", "riccati-stable", _SLANTED + "T: 8\nanchor: 4\n", 1),
     ("riccati-stable-twisted", "riccati-stable",
      "kind: Twisted\npotential: x\nalpha: 0.05\nv0_x: 0.2\nv0_t: 0.5\nT: 8\nanchor: 4\n", 1),
