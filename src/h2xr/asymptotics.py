@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 from .hyperbolic import HPoint, hyp_distance
-from .metrics import ChartPoint, MetricSpec, christoffel_many
+from .metrics import ChartPoint
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,15 @@ def busemann_limit(L: float, x: ProductPoint) -> float:
 
 
 def busemann_derivatives(L: float, x: ProductPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate gradient and covariant Hessian of the limit -L t.
+    """Coordinate gradient and covariant Hessian of the limit -L t at x.
 
     The limit is linear in the chart, so db = (0, 0, -L) and the Hessian
-    is the connection term alone, 0 - Gamma^k_ij d_k b.
+    is the connection term alone, 0 - Gamma^k_ij d_k b = L Gamma^t_ij:
+    +0.0 in every entry, as Gamma^t_ij = d_i phi / phi vanishes for phi = L.
     """
     _check_L(L)
-    grad = np.array([0.0, 0.0, -L])
-    gam = christoffel_many(MetricSpec.product(L), x.chart().as_array()[None, :])[0]
-    # 0 - (...), not -(...): a zero entry stays +0.0 and never prints as -0.0
-    return grad, 0.0 - np.einsum("kij,k->ij", gam, grad)
+    x.chart()   # validates x: a non-finite t raises DomainError
+    return np.array([0.0, 0.0, -L]), np.zeros((3, 3))
 
 
 def ball_volume(L: float, R: float, kappa: float = 1.0) -> float:
@@ -85,7 +84,8 @@ def ball_volume(L: float, R: float, kappa: float = 1.0) -> float:
     Vol = int_{-R}^{R} 2 pi (cosh(sqrt(kappa (R^2 - u^2))) - 1) / kappa du,
     in closed form 2 pi^2 R L_1(sqrt(kappa) R) / kappa with L_1 the
     modified Struve function.  Independent of L, which only rescales the
-    fiber coordinate.
+    fiber coordinate.  A volume past the float range (from R ~ 709 at
+    kappa = 1) raises NumericsError.
     """
     from scipy.special import modstruve
 
@@ -94,7 +94,10 @@ def ball_volume(L: float, R: float, kappa: float = 1.0) -> float:
         raise DomainError(f"curvature scale must be > 0, got {kappa}")
     if R < 0.0 or not math.isfinite(R):
         raise DomainError(f"radius must be >= 0, got {R}")
-    return 2.0 * math.pi ** 2 * R * float(modstruve(1, math.sqrt(kappa) * R)) / kappa
+    vol = 2.0 * math.pi ** 2 * R * float(modstruve(1, math.sqrt(kappa) * R)) / kappa
+    if not math.isfinite(vol):
+        raise NumericsError(f"ball volume overflows the float range at R = {R}, kappa = {kappa}")
+    return vol
 
 
 def entropy_running(L: float, R: float, kappa: float = 1.0) -> float:

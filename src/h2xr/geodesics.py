@@ -21,13 +21,15 @@ RK4 step on arrays, also steps `jacobi`'s (A, A') and Riccati U; its
 f(y, i) gets the stage node i = 0, 1, 1, 2 (start, midpoint, midpoint,
 end), which the autonomous geodesic flow ignores.
 
-Either way the samples sit on the same time grid.  A start at or below
+Either way the samples sit on the same time grid, and a trajectory
+holds them in one (N, 12) state array, each row (q, v, e1, e2): the
+layout of the RK4 state and of `Trajectory.start`.  A start at or below
 Y_FLOOR is rejected; a trajectory is cut before its first sample with
 y <= Y_FLOOR and flagged rather than re-charted; non-finite states
 abort the run.  A Product trajectory is built from its start state and
 grid alone: the cut and the non-finite check are made then, but its
-samples q, v, e1, e2 are filled on first read and cached, because the
-closed-form propagators of `jacobi` read only the start state.
+states are filled on first read and cached, because the closed-form
+propagators of `jacobi` read only the start state.
 Frames and every g-inner product take the diagonal metric
 diag(1/y^2, 1/y^2, phi^2); the initial Gram-Schmidt runs on floats.
 """
@@ -54,9 +56,10 @@ class Trajectory:
 
     e3 of the frame is the tangent itself; e1, e2 span its normal bundle
     (for a horizontal run on the product: in-surface normal, then
-    vertical).  start holds (q, v, e1, e2) at t = 0.  An RK4 row is
-    built with its samples; a Product row gets them from the exact flow
-    on first read, and keeps them.
+    vertical).  states holds every sample as one (N, 12) array of rows
+    (q, v, e1, e2), and q, v, e1, e2 are its column views; start is the
+    row at t = 0.  An RK4 row is built with its states; a Product row
+    gets them from the exact flow on first read, and keeps them.
     """
 
     spec: MetricSpec
@@ -65,32 +68,22 @@ class Trajectory:
     step: float
     T: float
     truncated: bool = False
-    _samples: tuple | None = None   # (q, v, e1, e2), each (N, 3)
+    _states: np.ndarray | None = None   # (N, 12)
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
 
-    def _filled(self) -> tuple:
-        if self._samples is None:
-            object.__setattr__(self, "_samples", _product_samples(self.start, self.times))
-        return self._samples
-
     @property
-    def q(self) -> np.ndarray:
-        return self._filled()[0]
+    def states(self) -> np.ndarray:
+        if self._states is None:
+            object.__setattr__(self, "_states", _product_samples(self.start, self.times))
+        return self._states
 
-    @property
-    def v(self) -> np.ndarray:
-        return self._filled()[1]
-
-    @property
-    def e1(self) -> np.ndarray:
-        return self._filled()[2]
-
-    @property
-    def e2(self) -> np.ndarray:
-        return self._filled()[3]
+    q = property(lambda self: self.states[:, 0:3])      # column views of states, (N, 3)
+    v = property(lambda self: self.states[:, 3:6])
+    e1 = property(lambda self: self.states[:, 6:9])
+    e2 = property(lambda self: self.states[:, 9:12])
 
 
 def unit_vector(spec: MetricSpec, q: ChartPoint, v) -> np.ndarray:
@@ -139,8 +132,8 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
     hyperbolic base block, plus the fiber coupling terms fed by (phi, dphi)
     from the fiber kernel.  Only Warped and Twisted runs step through it;
     Product runs take the exact flow of _product_samples.  jacobi also reads
-    it at the stored samples, for the Hermite midpoint states of its steps.  Components are read
-    through state.T, so s[i] is a (B,) row and the transported vectors'
+    it at the stored states, for the Hermite midpoint states of its steps.
+    Components are read through state.T, so s[i] is a (B,) row and the transported vectors'
     x, y, t parts s[3::3], s[4::3], s[5::3] are (3, B).
 
     A lone row steps through _rhs_one instead, which repeats these
@@ -198,8 +191,9 @@ def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _rk4_rows(spec, state, times):
-    """RK4 through the sample times; returns (q, v, e1, e2) per row of state (B, 12).
+    """RK4 through the sample times; returns the (N, 12) states of each row of state (B, 12).
 
+    Each row's states are a copy: a view would keep the whole batch alive.
     A row that leaves the finite range raises NumericsError; the inf and
     nan on the way there are expected, so numpy does not warn about them.
     """
@@ -210,14 +204,13 @@ def _rk4_rows(spec, state, times):
     def f(y, _):
         return _rhs(spec, y)
 
-    n_steps = len(times) - 1
-    samples = np.empty((B, n_steps + 1, dim))
+    samples = np.empty((B, len(times), dim))
     samples[:, 0] = state
     active = np.ones(B, dtype=bool)
-    counts = np.full(B, n_steps + 1)  # samples kept per row
+    counts = np.full(B, len(times))  # samples kept per row
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n_steps):
+        for k in range(len(times) - 1):
             h = float(times[k + 1] - times[k])
             new = _rk4_step(f, state, h)
             if not np.isfinite(new[active]).all():
@@ -234,8 +227,7 @@ def _rk4_rows(spec, state, times):
             state = new
             samples[:, k + 1] = new
 
-    return [tuple(samples[b, :counts[b], i:i + 3].copy() for i in (0, 3, 6, 9))
-            for b in range(B)]
+    return [samples[b, :counts[b]].copy() for b in range(B)]
 
 
 def _rk4_lone(spec, y, times):
@@ -270,7 +262,7 @@ def _rk4_lone(spec, y, times):
                 n = k + 1
                 break
             samples[k + 1] = y
-    return tuple(samples[:n, i:i + 3].copy() for i in (0, 3, 6, 9))
+    return samples if n == len(times) else samples[:n].copy()
 
 
 def _mobius_factors(state, times):
@@ -312,7 +304,7 @@ def _product_cut(row, state, times):
 
 
 def _product_samples(state, times):
-    """Exact Product flow of one initial state (12,): (q, v, e1, e2), each (N, 3), at times.
+    """Exact Product flow of one initial state (12,): its (N, 12) states at times.
 
     The base point is M(i e^s): y = y0/D and x = x0 + y0 d_x sinh s/D
     (see _mobius_factors).  The horizontal part of every transported
@@ -323,15 +315,17 @@ def _product_samples(state, times):
     """
     x0, y0, t0, vx, vy, vt = (float(c) for c in state[:6])
     dx, dy, cp, cm, es, em, D = _mobius_factors(state, times)
-    q = np.column_stack([x0 + (y0 * dx) * (0.5 * (es - em)) / D, y0 / D, t0 + vt * times])
+    out = np.empty((len(times), 12))
+    out[:, 0] = x0 + (y0 * dx) * (0.5 * (es - em)) / D
+    out[:, 1] = y0 / D
+    out[:, 2] = t0 + vt * times
     c = 0.5 * (cm * em - cp * es)
     er = (dy * c + dx * dx) / D / D
     ei = dx * (c - dy) / D / D
-    v, e1, e2 = (np.column_stack([er * wx - ei * wy, er * wy + ei * wx, np.full_like(times, wt)])
-                 for wx, wy, wt in ((vx, vy, vt), state[6:9], state[9:12]))
-    # the flow at t = 0 is the identity, exactly
-    q[0], v[0], e1[0], e2[0] = state[0:3], state[3:6], state[6:9], state[9:12]
-    return q, v, e1, e2
+    for i, (wx, wy, wt) in zip((3, 6, 9), ((vx, vy, vt), state[6:9], state[9:12])):
+        out[:, i], out[:, i + 1], out[:, i + 2] = er * wx - ei * wy, er * wy + ei * wx, wt
+    out[0] = state   # the flow at t = 0 is the identity, exactly
+    return out
 
 
 def _integrate_batch(spec, q0s, v0s, T, step):
@@ -358,26 +352,21 @@ def _integrate_batch(spec, q0s, v0s, T, step):
     state[:, 0:3] = q0s
     state[:, 3:6] = v0s
     for b in range(B):
-        state[b, 6:12] = np.concatenate(initial_frame(spec, ChartPoint(*q0s[b].tolist()), v0s[b]))
+        state[b, 6:9], state[b, 9:12] = initial_frame(spec, ChartPoint(*q0s[b].tolist()), v0s[b])
 
     n_full = int(math.floor(T / step + 1e-9))
-    rem = T - n_full * step
-    haves_partial = rem > 1e-12 * max(1.0, T)
-    n_steps = n_full + (1 if haves_partial else 0)
+    times = np.arange(n_full + 1) * step
+    if T - n_full * step > 1e-12 * max(1.0, T):   # a last, shorter step ends at T
+        times = np.append(times, T)
 
-    times = np.empty(n_steps + 1)
-    times[: n_full + 1] = np.arange(n_full + 1) * step
-    if haves_partial:
-        times[-1] = T
-
-    if spec.kind == "Product":   # samples filled on first read
+    if spec.kind == "Product":   # states filled on first read
         rows = [(_product_cut(b, state[b], times), None) for b in range(B)]
     else:
-        rows = [(len(s[0]), s) for s in _rk4_rows(spec, state, times)]
+        rows = [(len(s), s) for s in _rk4_rows(spec, state, times)]
     return [
         Trajectory(spec=spec, times=times[:n], start=state[b], step=step,
-                   T=float(times[n - 1]), truncated=n < len(times), _samples=samples)
-        for b, (n, samples) in enumerate(rows)
+                   T=float(times[n - 1]), truncated=n < len(times), _states=states)
+        for b, (n, states) in enumerate(rows)
     ]
 
 
@@ -405,6 +394,6 @@ def speed_drift(traj: Trajectory) -> float:
 
 def frame_gram_error(traj: Trajectory) -> float:
     """max deviation of the (e1, e2, e3) Gram matrix from the identity."""
-    vecs = np.stack([traj.e1, traj.e2, traj.v], axis=1)  # (N, 3, 3)
+    vecs = traj.states[:, 3:12].reshape(-1, 3, 3)  # (N, 3, 3): e3 = v, e1, e2 per sample
     gram = inner_many(traj.spec, traj.q[:, None, None], vecs[:, :, None], vecs[:, None, :])
     return float(np.max(np.abs(gram - np.eye(3))))

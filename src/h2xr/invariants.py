@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 from .hyperbolic import (
     HYPERBOLIC_TRACE_MARGIN,
     MobiusElement,
@@ -24,6 +24,12 @@ from .metrics import MetricSpec, _r_v, fiber
 
 MAX_WORD_LENGTH = 8
 DEDUP_TOL = 1e-9
+
+
+def _positive(name: str, value: float) -> None:
+    """Raise a DomainError naming the input unless value is finite and > 0; nan fails too."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +84,8 @@ def product_spectrum(sig: SigmaSpectrum, L: float, cutoff: float):
     sorted list of (eigenvalue, multiplicity) with exactly equal values
     merged.
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise DomainError(f"fiber length must be > 0, got {L}")
-    if not (cutoff > 0.0 and math.isfinite(cutoff)):
-        raise DomainError(f"cutoff must be > 0, got {cutoff}")
+    _positive("fiber length", L)
+    _positive("cutoff", cutoff)
     merged: dict[float, int] = {}
     for lam in sig.eigenvalues:
         if lam <= cutoff:
@@ -98,8 +102,7 @@ def product_spectrum(sig: SigmaSpectrum, L: float, cutoff: float):
 
 def spectral_gap(sig: SigmaSpectrum, L: float) -> float:
     """min(lambda_1 of the surface, (2 pi / L)^2), the first nonzero mode."""
-    if not (L > 0.0 and math.isfinite(L)):
-        raise DomainError(f"fiber length must be > 0, got {L}")
+    _positive("fiber length", L)
     return min(sig.first_positive(), (2.0 * math.pi / L) ** 2)
 
 
@@ -120,8 +123,7 @@ class LengthEntry:
 
 def mls_length(ell_sigma: float, n: int, L: float) -> float:
     """Pythagorean length sqrt(ell_sigma^2 + (n L)^2) of the class."""
-    if not (L > 0.0 and math.isfinite(L)):
-        raise DomainError(f"fiber length must be > 0, got {L}")
+    _positive("fiber length", L)
     if ell_sigma < 0.0 or not math.isfinite(ell_sigma):
         raise DomainError(f"surface length must be >= 0, got {ell_sigma}")
     if ell_sigma == 0.0 and n == 0:
@@ -170,8 +172,7 @@ def enumerate_length_spectrum(generators, max_word: int, L: float, n_max: int):
         raise DomainError(f"max_word must be in [0, {MAX_WORD_LENGTH}], got {max_word}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if not (L > 0.0 and math.isfinite(L)):
-        raise DomainError(f"fiber length must be > 0, got {L}")
+    _positive("fiber length", L)
     gens = list(generators)
     mats = []
     for g in gens:
@@ -226,11 +227,13 @@ def isoperimetric_bound(v: float, L: float) -> float:
     """The profile lower bound 2 pi L sqrt(2v/(L pi) + (v/(2 pi L))^2)."""
     if v < 0.0 or not math.isfinite(v):
         raise DomainError(f"volume must be >= 0, got {v}")
-    if not (L > 0.0 and math.isfinite(L)):
-        raise DomainError(f"fiber length must be > 0, got {L}")
-    return 2.0 * math.pi * L * math.sqrt(
-        2.0 * v / (L * math.pi) + (v / (2.0 * math.pi * L)) ** 2
-    )
+    _positive("fiber length", L)
+    try:
+        return 2.0 * math.pi * L * math.sqrt(
+            2.0 * v / (L * math.pi) + (v / (2.0 * math.pi * L)) ** 2
+        )
+    except OverflowError:
+        raise NumericsError(f"isoperimetric bound overflows the float range at v = {v}") from None
 
 
 @dataclass(frozen=True)
@@ -254,28 +257,34 @@ def tube_profiles(L: float, r_list, ell_collar: float, w_list):
     Collar of half-width w around a closed geodesic of length ell:
     volume 2 L ell sinh w, boundary area 2 L ell cosh w.
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise DomainError(f"fiber length must be > 0, got {L}")
-    if ell_collar <= 0.0 and w_list:
-        raise DomainError(f"collar geodesic length must be > 0, got {ell_collar}")
-    rows = []
-    for r in r_list:
-        if r <= 0.0:
-            raise DomainError(f"disk radius must be > 0, got {r}")
-        v = 2.0 * math.pi * L * (math.cosh(r) - 1.0)
-        area = 2.0 * math.pi * L * math.sinh(r)
-        rows.append(_tube_row("disk", r, v, area, L))
-    for w in w_list:
-        if w <= 0.0:
-            raise DomainError(f"collar width must be > 0, got {w}")
-        v = 2.0 * L * ell_collar * math.sinh(w)
-        area = 2.0 * L * ell_collar * math.cosh(w)
-        rows.append(_tube_row("collar", w, v, area, L))
-    return rows
+    _positive("fiber length", L)
+    if w_list:
+        _positive("collar geodesic length", ell_collar)
+
+    def disk(r):
+        return 2.0 * math.pi * L * (math.cosh(r) - 1.0), 2.0 * math.pi * L * math.sinh(r)
+
+    def collar(w):
+        return 2.0 * L * ell_collar * math.sinh(w), 2.0 * L * ell_collar * math.cosh(w)
+
+    return ([_tube_row("disk", "disk radius", r, disk, L) for r in r_list]
+            + [_tube_row("collar", "collar width", w, collar, L) for w in w_list])
 
 
-def _tube_row(kind, param, v, area, L):
-    bound = isoperimetric_bound(v, L)
+def _tube_row(kind, name, param, volume_area, L):
+    """The TubeRow of one tube, (volume, area) = volume_area(param).
+
+    A volume, area or bound past the float range raises NumericsError
+    naming the tube's radius or width.
+    """
+    _positive(name, param)
+    try:
+        v, area = volume_area(param)
+        bound = isoperimetric_bound(v, L) if area < math.inf else math.inf   # v <= area
+    except (OverflowError, NumericsError):
+        bound = math.inf
+    if bound == math.inf:
+        raise NumericsError(f"{kind} tube overflows the float range at {name} {param}")
     diff = area - bound
     return TubeRow(
         kind=kind, param=param, volume=v, area=area, bound=bound,
@@ -291,8 +300,7 @@ def _tube_row(kind, param, v, area, L):
 def epsilon0(lambda1: float, L: float, diam: float):
     """(delta, eps0) = (min(lambda1/2, pi^2/L^2), delta/(4 (1 + diam^2)))."""
     for name, val in (("lambda1", lambda1), ("L", L), ("diam", diam)):
-        if not (val > 0.0 and math.isfinite(val)):
-            raise DomainError(f"{name} must be > 0, got {val}")
+        _positive(name, val)
     delta = min(lambda1 / 2.0, math.pi ** 2 / L ** 2)
     return delta, delta / (4.0 * (1.0 + diam * diam))
 

@@ -25,14 +25,16 @@ flow's own step, `geodesics._rk4_step`: (A, A') steps as one stacked
 state and U as another.  Both read R_perp from one array on the
 half-step grid, in closed form from the warped-product fiber kernel:
 index 2k holds it at sample k, index 2k + 1 at the midpoint state of
-step k, the cubic Hermite interpolant of the stored (q, v, e1, e2) and
-their flow derivative, m = (s_k + s_{k+1})/2 + (h/8)(f_k - f_{k+1}).
+step k, the cubic Hermite interpolant of the stored states (q, v, e1, e2)
+and their flow derivative, m = (s_k + s_{k+1})/2 + (h/8)(f_k - f_{k+1});
+`_rperp` reads such (..., 12) states directly.
 Node i of a step k -> k + d (d = +-1) reads index 2k + d i.  The
 midpoint state is O(h^4) off the geodesic, which keeps both propagators
 fourth order.  Between samples, A(t) is the cubic Hermite interpolant of
 (A, A') at the two ends; root refinement runs on that dense output, with
 no re-integration.  The Product/RK4 choice is made only in `_propagators`
-(A, A') and `_stable_tensors` (U); every entry point reads one of them.
+(A, A'), `_stable_tensors` (U) and `_scan_values` (a scan row's t* and
+det A minimum); every entry point reads one of them.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .geodesics import Trajectory, _rhs, _rk4_step, integrate_geodesic_batch
+from .geodesics import (Trajectory, _rhs, _rk4_step, integrate_geodesic,
+                        integrate_geodesic_batch)
 from .metrics import ChartPoint, MetricSpec, _r_v, fiber, inner_many
 
 RICCATI_BLOWUP = 1e6
@@ -86,11 +89,11 @@ class RiccatiRun:
 
 def normal_curvature_samples(traj: Trajectory) -> np.ndarray:
     """R_perp[a, b] = g(R(e_a, v) v, e_b) at every trajectory sample."""
-    return _rperp(traj.spec, traj.q, traj.v, np.stack([traj.e1, traj.e2], axis=1))
+    return _rperp(traj.spec, traj.states)
 
 
-def _rperp(spec, q, v, e):
-    """R_perp (..., 2, 2) at states: points q, tangents v (..., 3), normal frames e (..., 2, 3).
+def _rperp(spec, s):
+    """R_perp (..., 2, 2) at states s (..., 12): point q, tangent v, normal frame e1, e2.
 
     Warped-product closed form: with u, w_a the horizontal parts of v, e_a,
     c_a = w_a x u and xi_a = v_t w_a - (e_a)_t u, the K = -1 base block
@@ -99,16 +102,16 @@ def _rperp(spec, q, v, e):
     cheaper than stacked 2 x 2 matmuls, and its one off-diagonal entry is
     written to both places, so R_perp is exactly symmetric.
     """
-    c = _base_coupling(q, v, e)
+    c = _base_coupling(s)
     out = -(c[..., :, None] * c[..., None, :])
     if spec.kind != "Product":
-        ax, ay, bx, by = (v[..., 2] * e[..., a, i] - e[..., a, 2] * v[..., i]
-                          for a in (0, 1) for i in (0, 1))      # xi_1 = (ax, ay), xi_2 = (bx, by)
-        phi, _, hess = fiber(spec, q)
-        p, r, s = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
-        hax, hay = ax * p + ay * r, ax * r + ay * s             # Hess phi xi_1
+        ax, ay, bx, by = (s[..., 5] * s[..., a + i] - s[..., a + 2] * s[..., 3 + i]
+                          for a in (6, 9) for i in (0, 1))      # xi_1 = (ax, ay), xi_2 = (bx, by)
+        phi, _, hess = fiber(spec, s[..., 0:3])
+        hxx, hxy, hyy = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
+        hax, hay = ax * hxx + ay * hxy, ax * hxy + ay * hyy     # Hess phi xi_1
         out[..., 0, 0] -= phi * (hax * ax + hay * ay)
-        out[..., 1, 1] -= phi * ((bx * p + by * r) * bx + (bx * r + by * s) * by)
+        out[..., 1, 1] -= phi * ((bx * hxx + by * hxy) * bx + (bx * hxy + by * hyy) * by)
         out[..., 0, 1] -= phi * (hax * bx + hay * by)
         out[..., 1, 0] = out[..., 0, 1]
     return out
@@ -116,13 +119,13 @@ def _rperp(spec, q, v, e):
 
 def _half_grid_rperp(traj: Trajectory) -> np.ndarray:
     """R_perp on the half-step grid, (2 N - 1, 2, 2): samples at 2k, Hermite midpoints at 2k + 1."""
-    s = np.concatenate([traj.q, traj.v, traj.e1, traj.e2], axis=1)   # (N, 12)
+    s = traj.states
     f = _rhs(traj.spec, s)
     h = np.diff(traj.times)[:, None]
     half = np.empty((2 * len(s) - 1, 12))
     half[0::2] = s
     half[1::2] = 0.5 * (s[:-1] + s[1:]) + (0.125 * h) * (f[:-1] - f[1:])
-    return _rperp(traj.spec, half[:, 0:3], half[:, 3:6], half[:, 6:12].reshape(-1, 2, 3))
+    return _rperp(traj.spec, half)
 
 
 def _half_grid_batch(trajs):
@@ -134,12 +137,12 @@ def _half_grid_batch(trajs):
     return longest.times, rhalf
 
 
-def _base_coupling(q, v, e):
-    """(w_a x u) / y^2 for points q (..., 3), tangents v and frames e (..., 2, 3).
+def _base_coupling(s):
+    """(w_a x u) / y^2 at states s (..., 12); u, w_a the horizontal parts of v, e_a.
 
     The K = -1 base block of R_perp is -c c^T with c this vector.
     """
-    return (e[..., 0] * v[..., None, 1] - e[..., 1] * v[..., None, 0]) / q[..., None, 1] ** 2
+    return (s[..., 6::3] * s[..., 4, None] - s[..., 7::3] * s[..., 3, None]) / s[..., 1, None] ** 2
 
 
 def _product_axis(traj: Trajectory):
@@ -150,8 +153,7 @@ def _product_axis(traj: Trajectory):
     sigma = |c| is the horizontal speed and P = c c^T / sigma^2.  A
     vertical row has c = 0: sigma = 0 and P = 0.
     """
-    s = traj.start
-    c = _base_coupling(s[0:3], s[3:6], s[6:12].reshape(2, 3))
+    c = _base_coupling(traj.start)
     sigma = math.hypot(c[0], c[1])
     if sigma == 0.0:
         return 0.0, np.zeros((2, 2))
@@ -315,7 +317,7 @@ def propagate_jacobi(traj: Trajectory) -> JacobiRun:
 def companion_propagator(traj: Trajectory, rperp=None):
     """Propagator with A(0) = I, A'(0) = 0 (fields with J(0) != 0).
 
-    rperp is not read; it is accepted for callers that still pass R_perp.
+    rperp is not read; it stays only because bench/micro.py passes R_perp.
     """
     return next(_propagators([traj], companion=True))
 
@@ -330,9 +332,7 @@ def first_conjugate_point(spec: MetricSpec, q0: ChartPoint, v0, Tmax: float):
     """Smallest refined t* in (0, Tmax] with det A(t*) = 0, else None."""
     if not Tmax > 0.0:
         raise DomainError(f"Tmax must be > 0, got {Tmax}")
-    traj = integrate_geodesic_batch(spec, q0.as_array()[None, :],
-                                    np.asarray(v0, float)[None, :], Tmax)[0]
-    run = propagate_jacobi(traj)
+    run = propagate_jacobi(integrate_geodesic(spec, q0, v0, Tmax))
     return run.conjugates[0] if run.conjugates else None
 
 

@@ -108,9 +108,6 @@ class WarpProfile:
         dev = self.eps * (0.5 - r * r)        # quadratic cap minus 1
         ddev = -2.0 * self.eps * r
         dddev = -2.0 * self.eps
-        if not (r > self.r0).any():           # all in the cap: w == 1, dw == 0
-            return 1.0 + dev, ddev, np.full_like(r, dddev)
-
         width = self.r1 - self.r0
         u = np.clip((r - self.r0) / width, 0.0, 1.0)
         s, ds, dds = _smoothstep5(u)
@@ -374,7 +371,7 @@ def fiber(spec: MetricSpec, q):
 
 
 def metric_many(spec: MetricSpec, q) -> np.ndarray:
-    """Metric components g_{ij}(q) for a batch of points, shape (..., 3, 3)."""
+    """Full metric tensor g_{ij}(q), (..., 3, 3), for a batch of points; kept for bench/micro.py."""
     q = _check_points(q)
     y = q[..., 1]
     g = np.zeros(q.shape[:-1] + (3, 3))
@@ -410,7 +407,7 @@ def _diagonal_at(spec: MetricSpec, p: ChartPoint) -> tuple:
 
 
 def christoffel_many(spec: MetricSpec, q) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] for a batch of points."""
+    """Christoffel symbols Gamma[..., k, i, j] for a batch of points; kept for bench/micro.py."""
     q = _check_points(q)
     y = q[..., 1]
     gam = np.zeros(q.shape[:-1] + (3, 3, 3))
@@ -467,15 +464,15 @@ def curvature_tensor_many(spec: MetricSpec, q) -> np.ndarray:
 
 
 def curvature_at(spec: MetricSpec, p: ChartPoint) -> CurvatureSample:
-    q = p.as_array()[None, :]
-    r4 = curvature_tensor_many(spec, q)[0]
-    g = metric_many(spec, q)[0]
-    ginv = np.linalg.inv(g)
-    sectionals = {}
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        denom = g[i, i] * g[j, j] - g[i, j] ** 2
-        sectionals[(i, j)] = float(r4[i, j, i, j] / denom)
-    ricci = np.einsum("il,ijlk->jk", ginv, r4)
+    """R4 at p, the coordinate-plane sectionals R4[i,j,i,j] / (g_ii g_jj) and Ricci.
+
+    The metric is diagonal, so Ric[j, k] = sum_i R4[i, j, i, k] / g_ii.
+    """
+    r4 = curvature_tensor_many(spec, p.as_array()[None, :])[0]
+    g = _diagonal_at(spec, p)
+    sectionals = {(i, j): float(r4[i, j, i, j] / (g[i] * g[j]))
+                  for i, j in ((0, 1), (0, 2), (1, 2))}
+    ricci = np.einsum("i,ijik->jk", 1.0 / np.array(g), r4)
     return CurvatureSample(point=p, riemann=r4, sectionals=sectionals, ricci=ricci)
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 
+from h2xr.asymptotics import ProductPoint
 from h2xr.geodesics import Trajectory
 from h2xr.jacobi import _anchor_index, _half_grid_rperp, _propagate_pair
+from h2xr.metrics import (ChartPoint, MetricSpec, christoffel_many, curvature_tensor_many,
+                          metric_many)
 
 
 def riccati_from_jacobi(traj: Trajectory, T_anchor: float):
@@ -33,3 +36,26 @@ def bianchi_residual(r4: np.ndarray) -> float:
         rm, (-4, -3, -2), (-3, -2, -4)
     )
     return float(np.max(np.abs(cyc)))
+
+
+def curvature_at_full_metric(spec: MetricSpec, p: ChartPoint):
+    """(R4, sectionals, Ricci) at p through the full 3 x 3 metric.
+
+    The metric comes from metric_many, its inverse from np.linalg.inv, the
+    sectional denominators are g_ii g_jj - g_ij^2 and Ricci contracts both
+    inverse-metric indices: the general route that curvature_at shortens
+    with the diagonal metric.
+    """
+    q = p.as_array()[None, :]
+    r4 = curvature_tensor_many(spec, q)[0]
+    g = metric_many(spec, q)[0]
+    sectionals = {(i, j): float(r4[i, j, i, j] / (g[i, i] * g[j, j] - g[i, j] ** 2))
+                  for i, j in ((0, 1), (0, 2), (1, 2))}
+    return r4, sectionals, np.einsum("il,ijlk->jk", np.linalg.inv(g), r4)
+
+
+def busemann_hessian_christoffel(L: float, x: ProductPoint) -> np.ndarray:
+    """Hessian 0 - Gamma^k_ij d_k b of the Busemann limit b = -L t, from christoffel_many."""
+    grad = np.array([0.0, 0.0, -L])
+    gam = christoffel_many(MetricSpec.product(L), x.chart().as_array()[None, :])[0]
+    return 0.0 - np.einsum("kij,k->ij", gam, grad)

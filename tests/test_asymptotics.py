@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from h2xr.errors import DomainError
+from h2xr.errors import DomainError, NumericsError
 from h2xr.hyperbolic import HPoint
 from h2xr.metrics import MetricSpec, christoffel_many
+from oracles import busemann_hessian_christoffel
 from h2xr.asymptotics import (
     ProductPoint,
     ball_volume,
@@ -146,6 +147,15 @@ def _fd_busemann_derivatives(L, q, s, h=1e-3):
     return grad, hess - np.einsum("kij,k->ij", gam, grad)
 
 
+@pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
+def test_busemann_hessian_matches_christoffel_contraction_bit_for_bit(L):
+    # the closed-form +0.0 Hessian is the bits of 0 - Gamma^k_ij d_k b
+    rng = np.random.default_rng(3)
+    for x, y, t in zip(rng.uniform(-2, 2, 50), rng.uniform(0.2, 3, 50), rng.uniform(-2, 2, 50)):
+        p = ProductPoint(HPoint(x, y), t)
+        assert busemann_derivatives(L, p)[1].tobytes() == busemann_hessian_christoffel(L, p).tobytes()
+
+
 def test_busemann_derivatives_are_the_limit_of_finite_s_differences():
     # the ledger's Busemann points: the finite-s estimate differenced in the
     # chart approaches the closed-form derivatives like O(1/s), so its error
@@ -213,6 +223,12 @@ def test_volume_entropy_cauchy_convergence():
 def test_entropy_running_carries_prefactor_bias():
     # the plain ratio converges like 1 + O(log R / R); pin the bias scale
     assert entropy_running(1.0, 30.0) == pytest.approx(1.125, abs=0.01)
+
+
+def test_ball_volume_past_the_float_range_raises():
+    assert math.isfinite(ball_volume(1.0, 700.0))
+    with pytest.raises(NumericsError, match="R = 710.0"):
+        ball_volume(1.0, 710.0)
 
 
 def test_validation():

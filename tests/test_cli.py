@@ -258,6 +258,22 @@ def test_volume_growth_run(tmp_path):
     assert manifest["summary"]["volume_entropy"] == pytest.approx(1.0, abs=2e-2)
 
 
+@pytest.mark.parametrize("job, text, name", [
+    ("isoperimetric", "r_list: 1000\n", "disk radius 1000.0"),
+    ("isoperimetric", "w_list: 1000\n", "collar width 1000.0"),
+    ("volume-growth", "R_max: 800\n", "ball volume overflows"),
+])
+def test_overflowing_closed_form_exits_3_and_names_input(tmp_path, capsys, job, text, name):
+    # cosh/sinh overflow and a Struve volume past the float range: exit 3
+    # with the input named, no traceback and no inf or nan in a CSV
+    cfg = write(tmp_path, "o.cfg", text)
+    out = tmp_path / "out"
+    assert main([job, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and name in err
+    assert not out.exists()
+
+
 def test_seed_override_changes_echo(tmp_path):
     cfg = write(tmp_path, "c.cfg", "job: curvature-deviation\nN: 150\n")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

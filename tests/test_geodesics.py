@@ -314,8 +314,9 @@ def test_product_never_steps_rk4(monkeypatch):
 
 
 def test_product_samples_filled_on_first_read(monkeypatch):
-    # built from its start and grid only: the samples come on first read,
-    # are kept, and survive pickling whether filled or not
+    # built from its start and grid only: the states come on first read,
+    # are filled once and kept, q, v, e1, e2 are views of them, and they
+    # survive pickling whether filled or not
     def no_fill(*args, **kwargs):
         raise AssertionError("Product trajectory filled when built")
 
@@ -327,10 +328,15 @@ def test_product_samples_filled_on_first_read(monkeypatch):
         lazy = pickle.loads(pickle.dumps(tr))
     assert (tr.n_samples, tr.T, tr.truncated) == (3001, 3.0, False)
     assert np.array_equal(tr.start, np.concatenate([q0.as_array(), v0, *initial_frame(PROD, q0, v0)]))
+    fills, fill = [], geodesics._product_samples
+    monkeypatch.setattr(geodesics, "_product_samples", lambda *a: fills.append(a) or fill(*a))
     fields = ("q", "v", "e1", "e2")
     first = [getattr(tr, f) for f in fields]
-    assert all(getattr(tr, f) is a for f, a in zip(fields, first))
-    assert all(a.shape == (3001, 3) for a in first)
+    assert tr.states is tr.states and tr.states.shape == (3001, 12)
+    assert len(fills) == 1
+    for i, a in enumerate(first):
+        assert a.shape == (3001, 3) and np.shares_memory(a, tr.states)
+        assert np.array_equal(a, tr.states[:, 3 * i:3 * i + 3])
     for copy in (lazy, pickle.loads(pickle.dumps(tr))):
         for f, a in zip(fields, first):
             assert np.array_equal(getattr(copy, f), a), f

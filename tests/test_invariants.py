@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from h2xr.errors import DomainError
+from h2xr.errors import DomainError, NumericsError
 from h2xr.hyperbolic import MobiusElement, translation_length
 from h2xr.metrics import MetricSpec
 from h2xr.invariants import (
@@ -165,6 +165,30 @@ def test_tube_profiles_disk_and_collar():
     assert disk.status == "area<bound"          # the recorded violation
     assert collar.volume == pytest.approx(COLLAR_W1_L2[0], abs=1e-14)
     assert collar.area == pytest.approx(COLLAR_W1_L2[1], abs=1e-14)
+
+
+def test_tube_inputs_named_when_not_finite_and_positive():
+    # a NaN passes r <= 0; the error names the tube input, not the volume
+    for args, name in (((1.0, [math.nan], 2.0, []), "disk radius"),
+                       ((1.0, [math.inf], 2.0, []), "disk radius"),
+                       ((1.0, [], 2.0, [math.nan]), "collar width"),
+                       ((1.0, [], math.nan, [1.0]), "collar geodesic length"),
+                       ((math.nan, [1.0], 2.0, []), "fiber length")):
+        with pytest.raises(DomainError, match=name):
+            tube_profiles(*args)
+
+
+def test_tube_overflow_names_the_radius_or_width():
+    # past the float range in cosh/sinh, in the bound's square, or in the
+    # collar's product 2 L ell sinh w
+    for args, name in (((1.0, [1000.0], 2.0, []), "disk radius 1000.0"),
+                       ((1.0, [400.0], 2.0, []), "disk radius 400.0"),
+                       ((1.0, [], 2.0, [1000.0]), "collar width 1000.0"),
+                       ((1e300, [], 1e10, [5.0]), "collar width 5.0")):
+        with pytest.raises(NumericsError, match=name):
+            tube_profiles(*args)
+    with pytest.raises(NumericsError, match="v = 1e"):
+        isoperimetric_bound(1e300, 1.0)
 
 
 def test_tube_ratio_small_radius_limit():

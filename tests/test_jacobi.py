@@ -240,10 +240,11 @@ def test_rperp_kernel_symmetric_off_trajectory(kind, x, y, v, e):
     # state: R_perp is exactly symmetric, and within rounding of
     # -c c^T - phi xi Hess phi xi^T taken with matmuls
     spec = _KERNEL_SPECS[kind]
-    q, v, e = np.array([[x, y, 0.0]]), np.array([v]), np.array(e).reshape(1, 2, 3)
-    r = _rperp(spec, q, v, e)[0]
+    s = np.array([[x, y, 0.0, *v, *e]])
+    q, v, e = s[:, 0:3], s[:, 3:6], s[:, 6:12].reshape(1, 2, 3)
+    r = _rperp(spec, s)[0]
     assert r[0, 1] == r[1, 0]
-    c = _base_coupling(q, v, e)[0]
+    c = _base_coupling(s)[0]
     xi = v[0, None, 2:3] * e[0, :, 0:2] - e[0, :, 2:3] * v[0, None, 0:2]
     phi, _, hess = fiber(spec, q)
     phi, hess = phi[0], hess[0]

@@ -23,7 +23,7 @@ from h2xr.metrics import (
     metric_many,
     r_v_operator_many,
 )
-from oracles import bianchi_residual
+from oracles import bianchi_residual, curvature_at_full_metric
 
 EPS = 0.1
 WARP = MetricSpec.warped(eps=EPS)
@@ -50,6 +50,18 @@ def seeded_points(seed, n, y_range=(0.4, 3.0)):
 def test_profile_center_values():
     f, fp, fpp = profile_at(WARP.warp, 0.0)
     assert (f, fp, fpp) == (1.05, 0.0, -0.2)
+
+
+def test_profile_cap_is_the_quadratic_bit_for_bit():
+    # inside the cap the blend has w = 1, dw = -0.0: f, f', f'' are the
+    # quadratic's own bits, f' = -0.0 at r = 0 included
+    prof = WARP.warp
+    r = np.array([0.0, 1e-300, 1e-8, 0.1, 0.25, 0.4999, prof.r0])
+    f, fp, fpp = prof.eval_many(r)
+    for got, want in ((f, 1.0 + EPS * (0.5 - r * r)), (fp, -2.0 * EPS * r),
+                      (fpp, np.full_like(r, -2.0 * EPS))):
+        assert got.tobytes() == want.tobytes()
+    assert math.copysign(1.0, fp[0]) == -1.0
 
 
 def test_profile_outside_blend():
@@ -323,6 +335,23 @@ def test_curvature_product_sectionals_and_ricci_seeded():
         g = metric_many(spec, p.as_array()[None])[0]
         orth = cs.ricci / np.sqrt(np.outer(np.diag(g), np.diag(g)))
         assert np.allclose(orth, np.diag([-1.0, -1.0, 0.0]), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [MetricSpec.product(2.0), MetricSpec.warped(0.4),
+                                  MetricSpec.twisted(0.3, "x"), MetricSpec.twisted(0.05, "log_y")])
+def test_curvature_at_matches_full_metric_route_bit_for_bit(spec):
+    # the diagonal metric gives the bits of metric_many, np.linalg.inv and the
+    # two-index einsum, signs of zero included; the cap centre, the blend and
+    # the outside of the warp ball are all among the points
+    pts = [ChartPoint(*row) for row in seeded_points(7, 200, y_range=(0.3, 2.5))]
+    for p in pts + [CENTER, ChartPoint(0.0, 1.6, 0.2)]:
+        cs = curvature_at(spec, p)
+        r4, sectionals, ricci = curvature_at_full_metric(spec, p)
+        assert cs.riemann.tobytes() == r4.tobytes()
+        assert cs.ricci.tobytes() == ricci.tobytes()
+        assert list(cs.sectionals) == list(sectionals)
+        assert np.array(list(cs.sectionals.values())).tobytes() \
+            == np.array(list(sectionals.values())).tobytes()
 
 
 def test_curvature_symmetries_and_bianchi_all_kinds():

@@ -70,6 +70,10 @@ JOBS = [
     ("scan-product-bench", "scan-conjugate",
      "kind: Product\nL: 1.0\ncount: 32\nTmax: 50.0\nstep: 0.001\nseed: 0\n", 1),
     ("ledger-seed-0", "ledger", "seed: 0\n", 1),
+    # busemann_checks.csv prints the Hessian entries of the Busemann limit
+    ("busemann-product", "busemann", "kind: Product\nL: 2\nq0_x: 0.3\nq0_y: 1.4\nq0_t: 0.7\n", 1),
+    ("isoperimetric-default", "isoperimetric", "", 1),
+    ("volume-growth-default", "volume-growth", "", 1),
 ]
 
 
