@@ -24,6 +24,7 @@ from .metrics import MetricSpec, _r_v, fiber
 
 MAX_WORD_LENGTH = 8
 DEDUP_TOL = 1e-9
+SPECTRUM_MAX_MODES = 1_000_000   # product_spectrum's limit: 10^6 modes take ~3 s, a 20 MB CSV
 
 
 def _positive(name: str, value: float) -> None:
@@ -82,10 +83,15 @@ def product_spectrum(sig: SigmaSpectrum, L: float, cutoff: float):
 
     Circle modes n != 0 carry multiplicity 2 (folded onto |n|).  Returns a
     sorted list of (eigenvalue, multiplicity) with exactly equal values
-    merged.
+    merged.  More than SPECTRUM_MAX_MODES modes n >= 1, the sum over
+    lam <= cutoff of floor(L sqrt(cutoff - lam) / (2 pi)), is a DomainError.
     """
     _positive("fiber length", L)
     _positive("cutoff", cutoff)
+    sizes = (L * math.sqrt(cutoff - lam) / math.tau for lam in sig.eigenvalues if lam <= cutoff)
+    count = sum(math.floor(x) if x < math.inf else x for x in sizes)
+    if count > SPECTRUM_MAX_MODES:
+        raise DomainError(f"cutoff {cutoff} gives {count} circle modes, over {SPECTRUM_MAX_MODES}")
     merged: dict[float, int] = {}
     for lam in sig.eigenvalues:
         if lam <= cutoff:
@@ -274,8 +280,8 @@ def tube_profiles(L: float, r_list, ell_collar: float, w_list):
 def _tube_row(kind, name, param, volume_area, L):
     """The TubeRow of one tube, (volume, area) = volume_area(param).
 
-    A volume, area or bound past the float range raises NumericsError
-    naming the tube's radius or width.
+    A volume, area or bound past the float range, or a bound that rounds
+    to 0 (below r ~ 1.5e-8), raises NumericsError naming the radius or width.
     """
     _positive(name, param)
     try:
@@ -285,6 +291,8 @@ def _tube_row(kind, name, param, volume_area, L):
         bound = math.inf
     if bound == math.inf:
         raise NumericsError(f"{kind} tube overflows the float range at {name} {param}")
+    if bound == 0.0:
+        raise NumericsError(f"{kind} tube bound rounds to 0 at {name} {param}")
     diff = area - bound
     return TubeRow(
         kind=kind, param=param, volume=v, area=area, bound=bound,

@@ -20,10 +20,10 @@ the stable tensor is U = -sigma tanh(sigma (T - t)) P.  Both read only a
 row's start state, so its trajectory samples are never filled; det A
 rises strictly, so a Product scan row reads it once, at times[1].
 
-Warped and Twisted runs step RK4 on the sample grid with the geodesic
-flow's own step, `geodesics._rk4_step`: (A, A') steps as one stacked
-state and U as another.  Both read R_perp from one array on the
-half-step grid, in closed form from the warped-product fiber kernel:
+Warped and Twisted runs march on the sample grid in `_march`, which
+takes the geodesic flow's own RK4 step, `geodesics._rk4_step`: forward
+for (A, A')' = (A', -R A), backward for U' = -U^2 - R.  R is R_perp on
+the half-step grid, in closed form from the warped-product fiber kernel:
 index 2k holds it at sample k, index 2k + 1 at the midpoint state of
 step k, the cubic Hermite interpolant of the stored states (q, v, e1, e2)
 and their flow derivative, m = (s_k + s_{k+1})/2 + (h/8)(f_k - f_{k+1});
@@ -187,28 +187,41 @@ def _product_riccati(sigma, P, t, T):
     return 0.0 - u[:, None, None] * P
 
 
-def _propagate_pair(times, rhalf, A0, Ap0, k_from, k_to):
-    """RK4 for (A, A') on the sample grid, in either time direction.
+def _march(times, rhalf, y, k_from, k_to, f, bound=None):
+    """RK4 for y' = f(y, R) on the sample grid from state y (..., B, 2, 2) at k_from to k_to.
 
-    rhalf is R_perp on the half-step grid of times, (B, 2 N - 1, 2, 2);
-    A0, Ap0 broadcast to (B, 2, 2).  Returns (A, Ap), each (B, N, 2, 2),
-    filled on the indices between k_from and k_to inclusive.
+    R is the (B, 2, 2) stage-node slice of rhalf, R_perp on the half-step
+    grid of times (B, 2 N - 1, 2, 2).  Returns (..., B, N, 2, 2), NaN off
+    k_from..k_to.  A step past the bound (or to nan) raises NumericsError.
     """
     d = 1 if k_to >= k_from else -1
-    out = np.full((2, len(rhalf), len(times), 2, 2), np.nan)
-    out[0, :, k_from], out[1, :, k_from] = A0, Ap0
-    y = out[:, :, k_from].copy()        # the stacked state (A, A')
+    out = np.full((*y.shape[:-2], len(times), 2, 2), np.nan)
+    out[..., k_from, :, :] = y
 
-    def f(y, i):   # (A', -R A), R = R_perp of step k at node i
-        dy = np.empty_like(y)
-        dy[0] = y[1]
-        np.negative(rhalf[:, 2 * k + d * i] @ y[0], out=dy[1])
-        return dy
+    def stage(y, i):   # node i of step k -> k + d
+        return f(y, rhalf[:, 2 * k + d * i])
 
     for k in range(k_from, k_to, d):
-        y = _rk4_step(f, y, times[k + d] - times[k])
-        out[:, :, k + d] = y
-    return out[0], out[1]
+        y = _rk4_step(stage, y, times[k + d] - times[k])
+        # one NaN-safe test: over the bound, inf and nan all fail it
+        if bound is not None and not np.max(np.abs(y)) <= bound:
+            raise NumericsError("focal blow-up in backward Riccati integration",
+                                time=float(times[k + d]))
+        out[..., k + d, :, :] = y
+    return out
+
+
+def _pair_rhs(y, R):
+    """(A, A')' = (A', -R A) for the stacked state y = (A, A')."""
+    dy = np.empty_like(y)
+    dy[0] = y[1]
+    np.negative(R @ y[0], out=dy[1])
+    return dy
+
+
+def _riccati_rhs(u, R):
+    """U' = -U^2 - R."""
+    return -(u @ u) - R
 
 
 def _hermite(times, A, Ap, t):
@@ -294,9 +307,9 @@ def _propagators(trajs, companion=False):
             yield _product_propagators(*_product_axis(t), t.times)[pick]
         return
     times, rhalf = _half_grid_batch(trajs)
-    zero, eye = np.zeros((2, 2)), np.eye(2)
-    A0, Ap0 = (eye, zero) if companion else (zero, eye)
-    As, Aps = _propagate_pair(times, rhalf, A0, Ap0, 0, len(times) - 1)
+    y = np.zeros((2, len(trajs), 2, 2))
+    y[0 if companion else 1] = np.eye(2)
+    As, Aps = _march(times, rhalf, y, 0, len(times) - 1, _pair_rhs)
     for b, t in enumerate(trajs):
         yield As[b, : t.n_samples], Aps[b, : t.n_samples]
 
@@ -340,28 +353,6 @@ def first_conjugate_point(spec: MetricSpec, q0: ChartPoint, v0, Tmax: float):
 # Riccati
 # ---------------------------------------------------------------------------
 
-def _riccati_backward(times, rhalf, k_anchor):
-    """Integrate U' = -U^2 - R backward from U = 0 at sample k_anchor.
-
-    rhalf is R_perp on the half-step grid of times, (B, 2 N - 1, 2, 2).
-    """
-    U = np.full((len(rhalf), len(times), 2, 2), np.nan)
-    u = np.zeros((len(rhalf), 2, 2))
-    U[:, k_anchor] = u
-
-    def f(u, i):   # node i of step k -> k - 1
-        return -(u @ u) - rhalf[:, 2 * k - i]
-
-    for k in range(k_anchor, 0, -1):
-        u = _rk4_step(f, u, times[k - 1] - times[k])
-        # one NaN-safe test: over the bound, inf and nan all fail it
-        if not np.max(np.abs(u)) <= RICCATI_BLOWUP:
-            raise NumericsError("focal blow-up in backward Riccati integration",
-                                time=float(times[k - 1]))
-        U[:, k - 1] = u
-    return U
-
-
 def _anchor_index(traj: Trajectory, T_anchor: float) -> int:
     if not (0.0 < T_anchor <= traj.T + 1e-12):
         raise DomainError(
@@ -381,7 +372,8 @@ def _stable_tensors(trajs, k):
         for t in trajs:
             yield _product_riccati(*_product_axis(t), t.times[: k + 1], t.times[k])
         return
-    yield from _riccati_backward(*_half_grid_batch(trajs), k)[:, : k + 1]
+    u = np.zeros((len(trajs), 2, 2))
+    yield from _march(*_half_grid_batch(trajs), u, k, 0, _riccati_rhs, RICCATI_BLOWUP)[:, : k + 1]
 
 
 def riccati_stable(traj: Trajectory, T_anchor: float) -> RiccatiRun:

@@ -4,7 +4,7 @@ import numpy as np
 
 from h2xr.asymptotics import ProductPoint
 from h2xr.geodesics import Trajectory
-from h2xr.jacobi import _anchor_index, _half_grid_rperp, _propagate_pair
+from h2xr.jacobi import _anchor_index, _half_grid_rperp, _march, _pair_rhs
 from h2xr.metrics import (ChartPoint, MetricSpec, christoffel_many, curvature_tensor_many,
                           metric_many)
 
@@ -18,8 +18,9 @@ def riccati_from_jacobi(traj: Trajectory, T_anchor: float):
     Entries where A is close to singular are returned as nan.
     """
     k = _anchor_index(traj, T_anchor)
-    A, Ap = _propagate_pair(traj.times, _half_grid_rperp(traj)[None], np.eye(2),
-                            np.zeros((2, 2)), k, 0)
+    y = np.zeros((2, 1, 2, 2))
+    y[0] = np.eye(2)
+    A, Ap = _march(traj.times, _half_grid_rperp(traj)[None], y, k, 0, _pair_rhs)
     A, Ap = A[0, : k + 1], Ap[0, : k + 1]
     dets = np.linalg.det(A)
     U = np.full_like(A, np.nan)

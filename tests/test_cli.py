@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from h2xr import invariants
 from h2xr.cli import main
 from h2xr.config import build_config, load_config
 from h2xr.errors import DomainError
@@ -208,6 +209,19 @@ def test_spectrum_run(tmp_path):
     assert lines[2] == "0.25,1"
 
 
+def test_spectrum_over_the_mode_limit_exits_2_before_enumerating(tmp_path, capsys):
+    # sqrt(cutoff) = 1000001.5 and L = 2 pi: floor(1000001.5) = 1000001 circle
+    # modes, one over the limit
+    sig = write(tmp_path, "sigma.txt", "0.0\n")
+    cfg = write(tmp_path, "s.cfg", f"sigma_file: {sig}\nL: {2*math.pi}\ncutoff: {1000001.5**2}\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cutoff 1000003000002.25" in err and "1000001 circle modes" in err
+    assert not out.exists()
+    assert invariants.SPECTRUM_MAX_MODES == 1_000_000
+
+
 def test_length_spectrum_run_and_header_only(tmp_path):
     gens = write(tmp_path, "gens.txt", GENS)
     cfg = write(tmp_path, "ls.cfg", f"job: length-spectrum\ngenerators_file: {gens}\nmax_word: 2\nn_max: 1\n")
@@ -261,6 +275,8 @@ def test_volume_growth_run(tmp_path):
 @pytest.mark.parametrize("job, text, name", [
     ("isoperimetric", "r_list: 1000\n", "disk radius 1000.0"),
     ("isoperimetric", "w_list: 1000\n", "collar width 1000.0"),
+    # cosh(r) - 1 rounds to 0: volume and bound are 0, and area / bound would divide by it
+    ("isoperimetric", "r_list: 1e-9\n", "disk radius 1e-09"),
     ("volume-growth", "R_max: 800\n", "ball volume overflows"),
 ])
 def test_overflowing_closed_form_exits_3_and_names_input(tmp_path, capsys, job, text, name):

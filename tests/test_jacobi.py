@@ -31,12 +31,15 @@ from h2xr.jacobi import (
     _half_grid_batch,
     _half_grid_rperp,
     _hermite,
+    _march,
+    _pair_rhs,
     _product_propagators,
     _product_riccati,
-    _propagate_pair,
-    _riccati_backward,
+    _propagators,
+    _riccati_rhs,
     _rperp,
     _scan_chunk,
+    _stable_tensors,
 )
 from h2xr.metrics import ChartPoint, MetricSpec, fiber, r_v_operator_many
 from oracles import riccati_from_jacobi
@@ -120,8 +123,7 @@ def test_product_never_steps_rk4(monkeypatch):
     def no_fill(*args, **kwargs):
         raise AssertionError("Product run filled its trajectory samples")
 
-    monkeypatch.setattr(jacobi_mod, "_propagate_pair", no_rk4)
-    monkeypatch.setattr(jacobi_mod, "_riccati_backward", no_rk4)
+    monkeypatch.setattr(jacobi_mod, "_march", no_rk4)
     # the closed forms read only the start state and the time grid
     monkeypatch.setattr(geodesics, "_product_samples", no_fill)
     tr = integrate_geodesic(PROD, ORIGIN, unit_vector(PROD, ORIGIN, [0.3, 1, 0.2]), T=2.0)
@@ -382,6 +384,13 @@ def test_product_scan_matches_rk4_engine_scan(monkeypatch):
         assert abs(a.det_min - b.det_min) <= 2e-14 * b.det_min
 
 
+def _jacobi_start(n_rows):
+    """The stacked (A, A') = (0, I) of n_rows rows, the state _march starts from."""
+    y = np.zeros((2, n_rows, 2, 2))
+    y[1] = np.eye(2)
+    return y
+
+
 def test_truncated_rows_propagate_as_their_own_trajectories():
     # rows cut at the chart floor are zero-padded in the RK4 chunk; the
     # half-grid R_perp must stay inside each row, so every row matches its
@@ -392,12 +401,44 @@ def test_truncated_rows_propagate_as_their_own_trajectories():
     assert counts.min() < counts.max()
     grid, rhalf = _half_grid_batch(trajs)
     assert rhalf.shape == (len(trajs), 2 * counts.max() - 1, 2, 2)
-    A, Ap = _propagate_pair(grid, rhalf, np.zeros((2, 2)), np.eye(2), 0, len(grid) - 1)
+    A, Ap = _march(grid, rhalf, _jacobi_start(len(trajs)), 0, len(grid) - 1, _pair_rhs)
     for b, tr in enumerate(trajs):
-        A1, Ap1 = _propagate_pair(tr.times, _half_grid_rperp(tr)[None], np.zeros((2, 2)),
-                                  np.eye(2), 0, counts[b] - 1)
+        A1, Ap1 = _march(tr.times, _half_grid_rperp(tr)[None], _jacobi_start(1), 0,
+                         counts[b] - 1, _pair_rhs)
         assert np.array_equal(A[b, : counts[b]], A1[0])
         assert np.array_equal(Ap[b, : counts[b]], Ap1[0])
+
+
+_direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: max(map(abs, d)) > 1e-3)
+_inside = st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0), _direction)
+# just above Y_FLOOR heading down: the chart floor cuts it within the horizon
+_floor_cut = st.tuples(st.floats(-1.0, 1.0), st.floats(1.05e-6, 2e-6),
+                       st.tuples(st.floats(-0.3, 0.3), st.just(-1.0), st.floats(-0.3, 0.3)))
+
+
+@settings(max_examples=25)
+@given(kind=st.sampled_from(sorted(_KERNEL_SPECS)), start=_inside,
+       companions=st.lists(st.one_of(_inside, _floor_cut), min_size=1, max_size=3),
+       data=st.data())
+def test_batch_rows_propagate_as_their_lone_runs(kind, start, companions, data):
+    # a row's (A, A') and U take the same bits in any RK4 batch as alone,
+    # whatever its companions, including ones cut at the chart floor whose
+    # zero-padded half-grid R_perp the row must never read
+    spec, T, step = _KERNEL_SPECS[kind], 1.0, 0.02
+    rows = list(companions)
+    b = data.draw(st.integers(0, len(rows)), label="row")
+    rows.insert(b, start)
+    q0s = np.array([[x, y, 0.0] for x, y, _ in rows])
+    v0s = np.array([unit_vector(spec, ChartPoint(*q0), d) for q0, (_, _, d) in zip(q0s, rows)])
+    trajs = integrate_geodesic_batch(spec, q0s, v0s, T, step)
+    lone = [integrate_geodesic(spec, ChartPoint(*q0s[b]), v0s[b], T, step)]
+    # an anchor at most 0.24 back: -U^2 - R then stays far below the blow-up
+    # bound unless R_perp exceeds about 40, and these starts keep it under 10
+    k = data.draw(st.integers(1, 12), label="anchor")
+    (A, Ap), (A1, Ap1) = list(_propagators(trajs))[b], next(_propagators(lone))
+    U, U1 = list(_stable_tensors(trajs, k))[b], next(_stable_tensors(lone, k))
+    for got, ref in ((A, A1), (Ap, Ap1), (U, U1)):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_scan_pool_capped_at_cpu_count(monkeypatch):
@@ -503,7 +544,7 @@ def test_riccati_guard_stops_at_the_first_bad_step(index, r):
     rhalf = np.zeros((1, 21, 2, 2))
     rhalf[0, index, 0, 0] = r
     with pytest.raises(NumericsError, match="blow-up") as exc:
-        _riccati_backward(times, rhalf, 10)
+        _march(times, rhalf, np.zeros((1, 2, 2)), 10, 0, _riccati_rhs, jacobi_mod.RICCATI_BLOWUP)
     assert exc.value.info["time"] == times[5]
 
 

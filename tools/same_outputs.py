@@ -9,9 +9,11 @@ PYTHONPATH set to that tree and the job's H2XR_WORKERS.  The scans run at
 one and at two workers.  One line is printed per job; a CSV that differs
 also gets its largest absolute change over the numeric cells the two
 trees share and its largest change relative to a column's magnitude,
-each with its column.  The exit status is
-0 when every job exits with the same code in both trees and writes the
-same CSV files with the same bytes, and 1 otherwise.  manifest.json is
+each with its column.  A job that exits non-zero must print the same
+one-line diagnostic on stderr in both trees.  The exit status is 0 when
+every job exits with the same code in both trees, with the same
+diagnostic if that code is not 0, and writes the same CSV files with the
+same bytes, and 1 otherwise.  manifest.json is
 not compared: it holds wall times and versions.  A full run takes a few
 minutes on two cores.
 """
@@ -48,6 +50,9 @@ JOBS = [
     ("riccati-stable-warped", "riccati-stable", _SLANTED + "T: 8\nanchor: 4\n", 1),
     ("riccati-stable-twisted", "riccati-stable",
      "kind: Twisted\npotential: x\nalpha: 0.05\nv0_x: 0.2\nv0_t: 0.5\nT: 8\nanchor: 4\n", 1),
+    # u' = -u^2 - w^2 blows up about pi / (2 w) before the anchor: exit 3 at time 4.07
+    ("riccati-stable-warped-blowup", "riccati-stable",
+     "kind: Warped\neps: 0.4\nv0_x: 0\nv0_y: 0\nv0_t: 1\nT: 24\nanchor: 6\nstep: 0.01\n", 1),
     ("riccati-stable-product", "riccati-stable",
      "kind: Product\nq0_x: 0.1\nq0_y: 0.9\nv0_x: 0.3\nv0_y: 0.2\nv0_t: 1\nT: 8\nanchor: 4\n", 1),
     ("riccati-average-product", "riccati-average", "kind: Product\nN: 8\nanchor: 3\n", 1),
@@ -125,6 +130,8 @@ def compare(old, new) -> list[str]:
     problems = []
     if code_a != code_b:
         problems.append(f"exit {code_a} -> {code_b} ({err_a or err_b})")
+    elif code_a != 0 and err_a != err_b:
+        problems.append(f"diagnostic {err_a!r} -> {err_b!r}")
     for name in sorted(set(csv_a) | set(csv_b)):
         if name not in csv_a or name not in csv_b:
             problems.append(f"{name} written by one tree only")
@@ -151,10 +158,13 @@ def main(argv) -> int:
             old, new = (run_job(tree, Path(tmp) / side / label, subcommand, config, workers)
                         for side, tree in zip(("old", "new"), trees))
             problems = compare(old, new)
-            if not problems and old[0] != 0:
-                problems = [f"both trees exit {old[0]} ({old[1]})"]
             failed += bool(problems)
-            status = "; ".join(problems) if problems else f"same ({len(old[2])} CSV)"
+            if problems:
+                status = "; ".join(problems)
+            elif old[0] != 0:
+                status = f"same (exit {old[0]}: {old[1]})"
+            else:
+                status = f"same ({len(old[2])} CSV)"
             print(f"{label:32s} {status}", flush=True)
     print(f"{len(JOBS) - failed} of {len(JOBS)} jobs byte-identical")
     return 1 if failed else 0
