@@ -12,6 +12,7 @@ to T = 10, built once per evaluate_claims call and dropped on return.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ class ClaimRecord:
     computed: float
     tolerance: float | None
     status: str
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,10 @@ class Claim:
     reads_central_run: bool = False   # compute takes _central_run()'s run, not the seed
 
     def evaluate(self, seed: int, central_run=None) -> ClaimRecord:
-        """central_run returns the shared central run; by default this claim builds its own."""
-        if self.reads_central_run:
-            computed = float(self.compute((central_run or _central_run)()))
-        else:
-            computed = float(self.compute(seed))
+        """central_run gives the shared central run (by default the claim's own), timed with it."""
+        started = time.perf_counter()
+        arg = (central_run or _central_run)() if self.reads_central_run else seed
+        computed = float(self.compute(arg))
         if self.report_only:
             status = "REPORT_ONLY"
         elif abs(computed - self.paper_value) <= self.tolerance:
@@ -60,7 +61,7 @@ class Claim:
         else:
             status = "MISMATCH"
         return ClaimRecord(self.claim_id, self.paper_value, computed,
-                           self.tolerance, status)
+                           self.tolerance, status, time.perf_counter() - started)
 
 
 def _seeded_points(seed, n, y_range=(0.4, 3.0), x_range=(-2.0, 2.0)):

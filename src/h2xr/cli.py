@@ -286,6 +286,7 @@ def _run_ledger(cfg: JobConfig):
         "match": sum(1 for r in records if r.status == "MATCH"),
         "mismatch": sum(1 for r in records if r.status == "MISMATCH"),
         "report_only": sum(1 for r in records if r.status == "REPORT_ONLY"),
+        "claim_seconds": {r.claim_id: r.seconds for r in records},
     }
     return {"claims.csv": (header, table)}, summary
 

@@ -15,11 +15,11 @@ integrate simultaneously as (B, 12) arrays, which is what makes the
 large scans in the conjugate-point module affordable.  A lone row
 (B = 1) steps on Python floats instead (`_rk4_lone`, derivatives from
 `_rhs_one`): numpy's per-call cost on 1-element arrays would be most of
-its step.  It repeats `_rk4_step`'s operations in the same order, so it
-gets the bits it would get in a batch.  `_rk4_step`, the package's one
-RK4 step on arrays, also steps `jacobi`'s (A, A') and Riccati U; its
-f(y, i) gets the stage node i = 0, 1, 1, 2 (start, midpoint, midpoint,
-end), which the autonomous geodesic flow ignores.
+its step.  `_rk4_floats` does `_rk4_step`'s operations in its order on
+floats, so a row gets the same bits alone as in a batch; both also step
+`jacobi`'s (A, A') and Riccati U.  Their f(y, i) gets the stage node
+i = 0, 1, 1, 2 (start, midpoint, midpoint, end), which the autonomous
+geodesic flow ignores.
 
 Either way the samples sit on the same time grid, and a trajectory
 holds them in one (N, 12) state array, each row (q, v, e1, e2): the
@@ -178,16 +178,23 @@ def _rhs_one(fiber, s: list) -> list:
 
 
 def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of y' = f(y, i), i = 0, 1, 1, 2 the stage nodes (see above).
-
-    Batched geodesics, (A, A') and U step through it; _rk4_lone spells out
-    the same operations on a lone geodesic row's floats.
-    """
+    """One classical RK4 step of y' = f(y, i), i = 0, 1, 1, 2 the stage nodes (see above)."""
     k1 = f(y, 0)
     k2 = f(y + (0.5 * h) * k1, 1)
     k3 = f(y + (0.5 * h) * k2, 1)
     k4 = f(y + h * k3, 2)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_floats(f, y: list, h: float) -> list:
+    """_rk4_step on a list of floats, f(y, i) returning a list: its operations in its order."""
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = f(y, 0)
+    k2 = f([a + half * b for a, b in zip(y, k1)], 1)
+    k3 = f([a + half * b for a, b in zip(y, k2)], 1)
+    k4 = f([a + h * b for a, b in zip(y, k3)], 2)
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def _rk4_rows(spec, state, times):
@@ -231,28 +238,23 @@ def _rk4_rows(spec, state, times):
 
 
 def _rk4_lone(spec, y, times):
-    """_rk4_rows of one row, y its 12 floats: _rk4_step's operations, in its order, on floats.
+    """_rk4_rows of one row, y its 12 floats, stepped by _rk4_floats.
 
-    The stages are y + (h/2) k and y + h k, the step y + (h/6)(k1 + 2 k2
-    + 2 k3 + k4) summed left to right, so the row gets its batch bits.
     A float divided by zero, where numpy would give inf or nan, ends the
     run as a non-finite state would.
     """
     fiber = _fiber_point(spec)
+
+    def f(y, _):
+        return _rhs_one(fiber, y)
+
     samples = np.empty((len(times), 12))
     samples[0] = y
     n = len(times)  # samples kept
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # numpy scalars in fiber
         for k in range(n - 1):
-            h = float(times[k + 1] - times[k])
-            half, sixth = 0.5 * h, h / 6.0
             try:
-                k1 = _rhs_one(fiber, y)
-                k2 = _rhs_one(fiber, [a + half * b for a, b in zip(y, k1)])
-                k3 = _rhs_one(fiber, [a + half * b for a, b in zip(y, k2)])
-                k4 = _rhs_one(fiber, [a + h * b for a, b in zip(y, k3)])
-                y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                y = _rk4_floats(f, y, float(times[k + 1] - times[k]))
                 finite = all(map(math.isfinite, y))
             except ArithmeticError:
                 finite = False

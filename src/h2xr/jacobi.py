@@ -22,8 +22,10 @@ rises strictly, so a Product scan row reads it once, at times[1].
 
 Warped and Twisted runs march on the sample grid in `_march`, which
 takes the geodesic flow's own RK4 step, `geodesics._rk4_step`: forward
-for (A, A')' = (A', -R A), backward for U' = -U^2 - R.  R is R_perp on
-the half-step grid, in closed form from the warped-product fiber kernel:
+for (A, A')' = (A', -R A), backward for U' = -U^2 - R; a lone row steps on
+floats with its batch bits, and `_mul` spells the 2 x 2 products out, so
+no BLAS kernel sets the bits.  R is R_perp on the half-step grid, in
+closed form from the warped-product fiber kernel:
 index 2k holds it at sample k, index 2k + 1 at the midpoint state of
 step k, the cubic Hermite interpolant of the stored states (q, v, e1, e2)
 and their flow derivative, m = (s_k + s_{k+1})/2 + (h/8)(f_k - f_{k+1});
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .geodesics import (Trajectory, _rhs, _rk4_step, integrate_geodesic,
+from .geodesics import (Trajectory, _rhs, _rk4_floats, _rk4_step, integrate_geodesic,
                         integrate_geodesic_batch)
 from .metrics import ChartPoint, MetricSpec, _r_v, fiber, inner_many
 
@@ -193,35 +195,59 @@ def _march(times, rhalf, y, k_from, k_to, f, bound=None):
     R is the (B, 2, 2) stage-node slice of rhalf, R_perp on the half-step
     grid of times (B, 2 N - 1, 2, 2).  Returns (..., B, N, 2, 2), NaN off
     k_from..k_to.  A step past the bound (or to nan) raises NumericsError.
+    A lone row (B = 1) steps on floats, by _rk4_floats and f's twin in _FLOAT_RHS.
     """
     d = 1 if k_to >= k_from else -1
-    out = np.full((*y.shape[:-2], len(times), 2, 2), np.nan)
-    out[..., k_from, :, :] = y
+    out = np.full((len(times), *y.shape), np.nan)   # out[k]: sample k of every row
+    steps, R, step = out, rhalf.swapaxes(0, 1), _rk4_step   # R[j]: node j of every row
+    if lone := y.shape[-3] == 1:   # steps is a view of out, a row of floats per sample
+        steps, y = out.reshape(len(times), -1), y.ravel().tolist()
+        R, f, step = rhalf[0].reshape(-1, 4).tolist(), _FLOAT_RHS[f], _rk4_floats
+    steps[k_from] = y
 
     def stage(y, i):   # node i of step k -> k + d
-        return f(y, rhalf[:, 2 * k + d * i])
+        return f(y, R[2 * k + d * i])
 
     for k in range(k_from, k_to, d):
-        y = _rk4_step(stage, y, times[k + d] - times[k])
-        # one NaN-safe test: over the bound, inf and nan all fail it
-        if bound is not None and not np.max(np.abs(y)) <= bound:
+        y = step(stage, y, float(times[k + d] - times[k]))
+        # NaN-safe: over the bound, inf and nan all fail it (max() skips a nan not first)
+        if bound is not None and not (all(abs(c) <= bound for c in y) if lone
+                                      else np.max(np.abs(y)) <= bound):
             raise NumericsError("focal blow-up in backward Riccati integration",
                                 time=float(times[k + d]))
-        out[..., k + d, :, :] = y
-    return out
+        steps[k + d] = y
+    return np.moveaxis(out, 0, -3)
+
+
+def _mul(a, b):
+    """a @ b of stacked 2 x 2 arrays, summed as a non-FMA BLAS kernel does, whatever the host's."""
+    # (a_i0 b_0j + 0.0) + a_i1 b_1j: the kernel's sum starts from 0.0, which keeps its signed zeros
+    return (a[..., :, :1] * b[..., :1, :] + 0.0) + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _mul_floats(a, b):
+    """_mul of one row; a and b start with (m00, m01, m10, m11)."""
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a, b[:4]
+    return [(a00 * b00 + 0.0) + a01 * b10, (a00 * b01 + 0.0) + a01 * b11,
+            (a10 * b00 + 0.0) + a11 * b10, (a10 * b01 + 0.0) + a11 * b11]
 
 
 def _pair_rhs(y, R):
     """(A, A')' = (A', -R A) for the stacked state y = (A, A')."""
     dy = np.empty_like(y)
     dy[0] = y[1]
-    np.negative(R @ y[0], out=dy[1])
+    np.negative(_mul(R, y[0]), out=dy[1])
     return dy
 
 
 def _riccati_rhs(u, R):
     """U' = -U^2 - R."""
-    return -(u @ u) - R
+    return -_mul(u, u) - R
+
+
+# float twins of the right-hand sides for a lone row: (A, A') as 8 floats, U and R as 4
+_FLOAT_RHS = {_pair_rhs: lambda y, r: y[4:] + [-c for c in _mul_floats(r, y)],
+              _riccati_rhs: lambda u, r: [-c - s for c, s in zip(_mul_floats(u, u), r)]}
 
 
 def _hermite(times, A, Ap, t):

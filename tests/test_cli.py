@@ -188,6 +188,18 @@ def test_ledger_claim_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "no conjugate point" in capsys.readouterr().err
 
 
+def test_ledger_manifest_times_every_claim(tmp_path):
+    from h2xr import claims
+
+    out = tmp_path / "o"
+    assert main(["ledger", "--out", str(out)]) == 0
+    seconds = json.loads((out / "manifest.json").read_text())["summary"]["claim_seconds"]
+    assert list(seconds) == sorted(c.claim_id for c in claims.CLAIMS)   # json sorts the keys
+    assert len(seconds) == 25 and all(s > 0.0 for s in seconds.values())
+    header = (out / "claims.csv").read_text().splitlines()[0]
+    assert header == "claim_id,paper_value,computed,tolerance,status"
+
+
 def test_moduli_dim_run_and_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["moduli-dim", "--out", str(out)]) == 0

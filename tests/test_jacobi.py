@@ -441,9 +441,8 @@ def test_batch_rows_propagate_as_their_lone_runs(kind, start, companions, data):
         assert got.tobytes() == ref.tobytes()
 
 
-def test_scan_pool_capped_at_cpu_count(monkeypatch):
-    sizes = []
-
+def _serial_pool(sizes):
+    """A ProcessPoolExecutor stand-in that maps in this process; each pool's size goes to sizes."""
     class SerialPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -457,12 +456,37 @@ def test_scan_pool_capped_at_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(jacobi_mod, "ProcessPoolExecutor", SerialPool)
+    return SerialPool
+
+
+def test_scan_pool_capped_at_cpu_count(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(jacobi_mod, "ProcessPoolExecutor", _serial_pool(sizes))
     monkeypatch.setattr(jacobi_mod, "SCAN_CHUNK", 1)
     monkeypatch.setattr(jacobi_mod.os, "cpu_count", lambda: 2)
     rows = scan_conjugate_points(PROD, count=3, Tmax=0.01, seed=0, workers=64)
     assert sizes == [2]
     assert [r.index for r in rows] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("spec, count, Tmax, seed", [
+    (MetricSpec.warped(eps=0.4), 6, 6.0, 1), (MetricSpec.twisted(0.3, "x"), 8, 10.0, 0),
+], ids=["warped", "twisted"])
+def test_scan_rows_do_not_depend_on_chunking(spec, count, Tmax, seed, monkeypatch):
+    # chunks of one row step each row alone, on floats; one chunk steps
+    # them all as one batch: every row gets the same bits either way
+    sizes = []
+    monkeypatch.setattr(jacobi_mod, "ProcessPoolExecutor", _serial_pool(sizes))
+    monkeypatch.setattr(jacobi_mod.os, "cpu_count", lambda: 2)
+    scans = []
+    for chunk in (1, count):
+        monkeypatch.setattr(jacobi_mod, "SCAN_CHUNK", chunk)
+        rows = scan_conjugate_points(spec, count=count, Tmax=Tmax, step=1e-2, seed=seed,
+                                     workers=2)
+        scans.append([repr((r.t_star, r.det_min, r.truncated)) for r in rows])
+    assert sizes == [2]   # the one-row chunks went through the pool
+    assert scans[0] == scans[1]
+    assert any(not row.startswith("(None") for row in scans[0])   # a conjugate point
 
 
 def test_slanted_run_hits_simple_sign_change_root():
@@ -546,6 +570,53 @@ def test_riccati_guard_stops_at_the_first_bad_step(index, r):
     with pytest.raises(NumericsError, match="blow-up") as exc:
         _march(times, rhalf, np.zeros((1, 2, 2)), 10, 0, _riccati_rhs, jacobi_mod.RICCATI_BLOWUP)
     assert exc.value.info["time"] == times[5]
+
+
+@pytest.mark.parametrize("row", [0, 1])
+@pytest.mark.parametrize("r", [math.nan, 2e8], ids=["nan", "over-bound"])
+def test_lone_riccati_row_blows_up_when_its_batch_does(r, row):
+    # R_perp[1, 1] at sample 5 is read only by the last stage of step
+    # 6 -> 5, so that step leaves the bad value in U[1, 1] alone: a nan
+    # there is not first, and max() over the entries would skip it
+    times = np.linspace(0.0, 1.0, 11)
+    rhalf = np.zeros((2, 21, 2, 2))
+    rhalf[1 - row] = -0.5 * np.eye(2)   # a companion that stays finite
+    rhalf[row, 10, 1, 1] = r
+    found = []
+    for rows in (rhalf, rhalf[row:row + 1]):   # the batch, then the row alone on floats
+        with pytest.raises(NumericsError, match="blow-up") as exc:
+            _march(times, rows, np.zeros((len(rows), 2, 2)), 10, 0, _riccati_rhs,
+                   jacobi_mod.RICCATI_BLOWUP)
+        found.append(exc.value.info["time"])
+    assert found == [times[5], times[5]]
+
+
+def _non_fma(a, b):
+    """a b of 2 x 2 nested lists, each entry summed as (0.0 + a_i0 b_0j) + a_i1 b_1j."""
+    return [[(0.0 + a[i][0] * b[0][j]) + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
+_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0))
+
+
+@given(data=st.data(), B=st.integers(1, 6))
+def test_rhs_products_sum_as_a_non_fma_kernel(data, B):
+    # bit for bit, signed zeros included, whatever BLAS kernel the host has
+    R, A, Ap, U = (np.array(data.draw(st.lists(_entries, min_size=4 * B, max_size=4 * B)))
+                   .reshape(B, 2, 2) for _ in range(4))
+    RA = [_non_fma(r, a) for r, a in zip(R.tolist(), A.tolist())]
+    UU = [_non_fma(u, u) for u in U.tolist()]
+    pair = np.array([Ap.tolist(), [[[-c for c in row] for row in m] for m in RA]])
+    ric = np.array([[[-c - s for c, s in zip(cr, sr)] for cr, sr in zip(cm, sm)]
+                    for cm, sm in zip(UU, R.tolist())])
+    assert _pair_rhs(np.stack((A, Ap)), R).tobytes() == pair.tobytes()
+    assert _riccati_rhs(U, R).tobytes() == ric.tobytes()
+    for b in range(B):
+        y = A[b].ravel().tolist() + Ap[b].ravel().tolist()
+        got = jacobi_mod._FLOAT_RHS[_pair_rhs](y, R[b].ravel().tolist())
+        assert np.array(got).tobytes() == pair[:, b].tobytes()
+        got = jacobi_mod._FLOAT_RHS[_riccati_rhs](U[b].ravel().tolist(), R[b].ravel().tolist())
+        assert np.array(got).tobytes() == ric[b].tobytes()
 
 
 def test_riccati_average_product_zero_and_deterministic():

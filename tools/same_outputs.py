@@ -16,6 +16,13 @@ diagnostic if that code is not 0, and writes the same CSV files with the
 same bytes, and 1 otherwise.  manifest.json is
 not compared: it holds wall times and versions.  A full run takes a few
 minutes on two cores.
+
+Code that calls BLAS (numpy's `@` on float arrays, for one) can give
+other bits under another OpenBLAS kernel: an FMA kernel rounds a
+product's sum once, a non-FMA kernel twice.  OpenBLAS picks its kernel
+from the CPU, so run both trees under one pinned kernel, e.g. with
+OPENBLAS_CORETYPE=Nehalem in the environment, to compare a change to
+such code.
 """
 
 from __future__ import annotations
