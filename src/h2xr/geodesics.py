@@ -222,7 +222,7 @@ def _rk4_rows(spec, state, times):
             new = _rk4_step(f, state, h)
             if not np.isfinite(new[active]).all():
                 bad = np.where(active & ~np.all(np.isfinite(new), axis=1))[0]
-                raise NumericsError("non-finite integrator state", rows=bad.tolist(), time=times[k])
+                raise NumericsError("non-finite integrator state", rows=bad.tolist(), time=float(times[k]))
             crossed = active & (new[:, 1] <= Y_FLOOR)
             if crossed.any():
                 counts[crossed] = k + 1
@@ -259,7 +259,7 @@ def _rk4_lone(spec, y, times):
             except ArithmeticError:
                 finite = False
             if not finite:
-                raise NumericsError("non-finite integrator state", rows=[0], time=times[k])
+                raise NumericsError("non-finite integrator state", rows=[0], time=float(times[k]))
             if y[1] <= Y_FLOOR:
                 n = k + 1
                 break
@@ -301,7 +301,7 @@ def _product_cut(row, state, times):
     keep[0] = True
     n = len(times) if keep.all() else int(keep.argmin())
     if n < len(times) and not math.isfinite(y[n]):
-        raise NumericsError("non-finite integrator state", rows=[row], time=times[n - 1])
+        raise NumericsError("non-finite integrator state", rows=[row], time=float(times[n - 1]))
     return n
 
 

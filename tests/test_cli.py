@@ -161,6 +161,17 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+def test_non_finite_state_diagnostic_prints_a_plain_time(tmp_path, capsys):
+    # far outside the warp ball, straight up: y = e^t leaves the float range
+    # in the step from t = 356, and the diagnostic names that time as a float
+    cfg = write(tmp_path, "up.cfg", "kind: Warped\neps: 0.1\nq0_x: 5\nq0_y: 1\n"
+                "v0_x: 0\nv0_y: 1\nv0_t: 0\nT: 800\nstep: 1\n")
+    code = main(["jacobi", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-finite integrator state" in err and "'time': 356.0}" in err
+
+
 def test_riccati_average_warped_runs_at_the_bump_centre(tmp_path, capsys):
     # the documented Warped setting: the default box rejects most vertical
     # curves (exit 3), and the default anchor 20 lies past the conjugate
