@@ -13,13 +13,14 @@ state (q, v, e1, e2); the frame is transported in the same step so
 geodesic and frame stay phase locked.  Batches of initial conditions
 integrate simultaneously as (B, 12) arrays, which is what makes the
 large scans in the conjugate-point module affordable.  A lone row
-(B = 1) steps on Python floats instead (`_rk4_lone`, derivatives from
-`_rhs_one`): numpy's per-call cost on 1-element arrays would be most of
-its step.  `_rk4_floats` does `_rk4_step`'s operations in its order on
-floats, so a row gets the same bits alone as in a batch; both also step
-`jacobi`'s (A, A') and Riccati U.  Their f(y, i) gets the stage node
-i = 0, 1, 1, 2 (start, midpoint, midpoint, end), which the autonomous
-geodesic flow ignores.
+(B = 1) steps on Python floats instead (`_rk4_lone`): numpy's per-call
+cost on 1-element arrays would be most of its step.  `_geodesic_step` is
+one `_rk4_step` of `_rhs` written out on named floats, its operations in
+its order, so a row gets the same bits alone as in a batch; `jacobi`
+steps a lone (A, A') and Riccati U the same way.  `_rk4_step` also steps
+`jacobi`'s batches; its f(y, i) gets the stage node i = 0, 1, 1, 2
+(start, midpoint, midpoint, end), which the autonomous geodesic flow
+ignores.
 
 Either way the samples sit on the same time grid, and a trajectory
 holds them in one (N, 12) state array, each row (q, v, e1, e2): the
@@ -136,7 +137,7 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
     Components are read through state.T, so s[i] is a (B,) row and the transported vectors'
     x, y, t parts s[3::3], s[4::3], s[5::3] are (3, B).
 
-    A lone row steps through _rhs_one instead, which repeats these
+    A lone row steps through _geodesic_step instead, which repeats these
     operations in the same order on floats, so a row gets the same bits
     alone as in a batch.
     """
@@ -160,23 +161,6 @@ def _rhs(spec: MetricSpec, state: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rhs_one(fiber, s: list) -> list:
-    """_rhs of one state given as 12 floats; fiber is metrics._fiber_point(spec)."""
-    x, y, _, vx, vy, vt = s[:6]
-    inv_y = 1.0 / y
-    f, dfx, dfy = fiber(x, y)
-    y2f = y * y * f
-    out = [vx, vy, vt]
-    for i in (3, 6, 9):  # v, e1, e2
-        wx, wy, wt = s[i:i + 3]
-        dwx = (vx * wy + vy * wx) * inv_y
-        dwy = (vy * wy - vx * wx) * inv_y
-        vtwt = vt * wt
-        out += (dwx + y2f * dfx * vtwt, dwy + y2f * dfy * vtwt,
-                -(dfx * (vx * wt + vt * wx) + dfy * (vy * wt + vt * wy)) / f)
-    return out
-
-
 def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of y' = f(y, i), i = 0, 1, 1, 2 the stage nodes (see above)."""
     k1 = f(y, 0)
@@ -186,15 +170,46 @@ def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_floats(f, y: list, h: float) -> list:
-    """_rk4_step on a list of floats, f(y, i) returning a list: its operations in its order."""
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = f(y, 0)
-    k2 = f([a + half * b for a, b in zip(y, k1)], 1)
-    k3 = f([a + half * b for a, b in zip(y, k2)], 1)
-    k4 = f([a + h * b for a, b in zip(y, k3)], 2)
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+def _geodesic_step(fiber, s, h):
+    """_rk4_step of _rhs on one state s, 12 floats; fiber is metrics._fiber_point(spec).
+
+    Its operations in its order, on named floats: the four stages run
+    through one loop body, and the sums k1 + 2 k2 + 2 k3 + k4 build up
+    from the left, stage by stage, as _rk4_step adds them; they start
+    from -0.0, which adds as an exact zero, signed zeros included.  A
+    stage state skips q_t, which no derivative reads.
+    """
+    x0, y0, t0, vx0, vy0, vt0, ax0, ay0, at0, bx0, by0, bt0 = s
+    x, y, vx, vy, vt, ax, ay, at, bx, by, bt = x0, y0, vx0, vy0, vt0, ax0, ay0, at0, bx0, by0, bt0
+    sx = sy = st = svx = svy = svt = sax = say = sat = sbx = sby = sbt = -0.0
+    # stage k_i has weight w, and stage i + 1 reads s + c k_i
+    for c, w in ((0.5 * h, 1.0), (0.5 * h, 2.0), (h, 2.0), (None, 1.0)):
+        inv_y = 1.0 / y
+        f, dfx, dfy = fiber(x, y)
+        y2f = y * y * f
+        gx, gy = y2f * dfx, y2f * dfy
+        # v, e1 = (ax, ay, at) and e2 = (bx, by, bt) as _rhs transports them
+        dvx = (vx * vy + vy * vx) * inv_y + gx * (vt * vt)
+        dvy = (vy * vy - vx * vx) * inv_y + gy * (vt * vt)
+        dvt = -(dfx * (vx * vt + vt * vx) + dfy * (vy * vt + vt * vy)) / f
+        dax = (vx * ay + vy * ax) * inv_y + gx * (vt * at)
+        day = (vy * ay - vx * ax) * inv_y + gy * (vt * at)
+        dat = -(dfx * (vx * at + vt * ax) + dfy * (vy * at + vt * ay)) / f
+        dbx = (vx * by + vy * bx) * inv_y + gx * (vt * bt)
+        dby = (vy * by - vx * bx) * inv_y + gy * (vt * bt)
+        dbt = -(dfx * (vx * bt + vt * bx) + dfy * (vy * bt + vt * by)) / f
+        sx, sy, st, svx, svy, svt = (sx + w * vx, sy + w * vy, st + w * vt,
+                                     svx + w * dvx, svy + w * dvy, svt + w * dvt)
+        sax, say, sat, sbx, sby, sbt = (sax + w * dax, say + w * day, sat + w * dat,
+                                        sbx + w * dbx, sby + w * dby, sbt + w * dbt)
+        if c is not None:
+            x, y = x0 + c * vx, y0 + c * vy
+            vx, vy, vt = vx0 + c * dvx, vy0 + c * dvy, vt0 + c * dvt
+            ax, ay, at = ax0 + c * dax, ay0 + c * day, at0 + c * dat
+            bx, by, bt = bx0 + c * dbx, by0 + c * dby, bt0 + c * dbt
+    c = h / 6.0
+    return (x0 + c * sx, y0 + c * sy, t0 + c * st, vx0 + c * svx, vy0 + c * svy, vt0 + c * svt,
+            ax0 + c * sax, ay0 + c * say, at0 + c * sat, bx0 + c * sbx, by0 + c * sby, bt0 + c * sbt)
 
 
 def _rk4_rows(spec, state, times):
@@ -222,7 +237,8 @@ def _rk4_rows(spec, state, times):
             new = _rk4_step(f, state, h)
             if not np.isfinite(new[active]).all():
                 bad = np.where(active & ~np.all(np.isfinite(new), axis=1))[0]
-                raise NumericsError("non-finite integrator state", rows=bad.tolist(), time=float(times[k]))
+                raise NumericsError("non-finite integrator state", rows=bad.tolist(),
+                                    time=float(times[k]))
             crossed = active & (new[:, 1] <= Y_FLOOR)
             if crossed.any():
                 counts[crossed] = k + 1
@@ -238,23 +254,19 @@ def _rk4_rows(spec, state, times):
 
 
 def _rk4_lone(spec, y, times):
-    """_rk4_rows of one row, y its 12 floats, stepped by _rk4_floats.
+    """_rk4_rows of one row, y its 12 floats, stepped by _geodesic_step.
 
     A float divided by zero, where numpy would give inf or nan, ends the
     run as a non-finite state would.
     """
     fiber = _fiber_point(spec)
-
-    def f(y, _):
-        return _rhs_one(fiber, y)
-
     samples = np.empty((len(times), 12))
     samples[0] = y
     n = len(times)  # samples kept
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # numpy scalars in fiber
-        for k in range(n - 1):
+        for k, h in enumerate(np.diff(times).tolist()):
             try:
-                y = _rk4_floats(f, y, float(times[k + 1] - times[k]))
+                y = _geodesic_step(fiber, y, h)
                 finite = all(map(math.isfinite, y))
             except ArithmeticError:
                 finite = False

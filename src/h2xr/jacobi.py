@@ -22,9 +22,10 @@ rises strictly, so a Product scan row reads it once, at times[1].
 
 Warped and Twisted runs march on the sample grid in `_march`, which
 takes the geodesic flow's own RK4 step, `geodesics._rk4_step`: forward
-for (A, A')' = (A', -R A), backward for U' = -U^2 - R; a lone row steps on
-floats with its batch bits, and `_mul` spells the 2 x 2 products out, so
-no BLAS kernel sets the bits.  R is R_perp on the half-step grid, in
+for (A, A')' = (A', -R A), backward for U' = -U^2 - R; a lone row takes
+that step written out on floats (`_pair_step`, `_riccati_step`) with its
+batch bits, and `_mul` spells the 2 x 2 products out, so no BLAS kernel
+sets the bits.  R is R_perp on the half-step grid, in
 closed form from the warped-product fiber kernel:
 index 2k holds it at sample k, index 2k + 1 at the midpoint state of
 step k, the cubic Hermite interpolant of the stored states (q, v, e1, e2)
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .geodesics import (Trajectory, _rhs, _rk4_floats, _rk4_step, integrate_geodesic,
+from .geodesics import (Trajectory, _rhs, _rk4_step, integrate_geodesic,
                         integrate_geodesic_batch)
 from .metrics import ChartPoint, MetricSpec, _r_v, fiber, inner_many
 
@@ -195,21 +196,24 @@ def _march(times, rhalf, y, k_from, k_to, f, bound=None):
     R is the (B, 2, 2) stage-node slice of rhalf, R_perp on the half-step
     grid of times (B, 2 N - 1, 2, 2).  Returns (..., B, N, 2, 2), NaN off
     k_from..k_to.  A step past the bound (or to nan) raises NumericsError.
-    A lone row (B = 1) steps on floats, by _rk4_floats and f's twin in _FLOAT_RHS.
+    A lone row (B = 1) steps its flat state on floats, by f's step in
+    _LONE_STEP, with the nodes as rows of 4 floats.
     """
     d = 1 if k_to >= k_from else -1
+    hs = np.diff(times).tolist()
     out = np.full((len(times), *y.shape), np.nan)   # out[k]: sample k of every row
-    steps, R, step = out, rhalf.swapaxes(0, 1), _rk4_step   # R[j]: node j of every row
     if lone := y.shape[-3] == 1:   # steps is a view of out, a row of floats per sample
-        steps, y = out.reshape(len(times), -1), y.ravel().tolist()
-        R, f, step = rhalf[0].reshape(-1, 4).tolist(), _FLOAT_RHS[f], _rk4_floats
+        steps, y, R, step = (out.reshape(len(times), -1), y.ravel().tolist(),
+                             rhalf[0].reshape(-1, 4).tolist(), _LONE_STEP[f])
+    else:
+        steps, R = out, rhalf.swapaxes(0, 1)   # R[j]: node j of every row
+
+        def step(y, h, *nodes):   # stage i of _rk4_step reads node 0, 1, 1, 2
+            return _rk4_step(lambda y, i: f(y, nodes[i]), y, h)
     steps[k_from] = y
-
-    def stage(y, i):   # node i of step k -> k + d
-        return f(y, R[2 * k + d * i])
-
     for k in range(k_from, k_to, d):
-        y = step(stage, y, float(times[k + d] - times[k]))
+        j = 2 * k
+        y = step(y, d * hs[min(k, k + d)], R[j], R[j + d], R[j + 2 * d])
         # NaN-safe: over the bound, inf and nan all fail it (max() skips a nan not first)
         if bound is not None and not (all(abs(c) <= bound for c in y) if lone
                                       else np.max(np.abs(y)) <= bound):
@@ -225,13 +229,6 @@ def _mul(a, b):
     return (a[..., :, :1] * b[..., :1, :] + 0.0) + a[..., :, 1:] * b[..., 1:, :]
 
 
-def _mul_floats(a, b):
-    """_mul of one row; a and b start with (m00, m01, m10, m11)."""
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = a, b[:4]
-    return [(a00 * b00 + 0.0) + a01 * b10, (a00 * b01 + 0.0) + a01 * b11,
-            (a10 * b00 + 0.0) + a11 * b10, (a10 * b01 + 0.0) + a11 * b11]
-
-
 def _pair_rhs(y, R):
     """(A, A')' = (A', -R A) for the stacked state y = (A, A')."""
     dy = np.empty_like(y)
@@ -245,9 +242,49 @@ def _riccati_rhs(u, R):
     return -_mul(u, u) - R
 
 
-# float twins of the right-hand sides for a lone row: (A, A') as 8 floats, U and R as 4
-_FLOAT_RHS = {_pair_rhs: lambda y, r: y[4:] + [-c for c in _mul_floats(r, y)],
-              _riccati_rhs: lambda u, r: [-c - s for c, s in zip(_mul_floats(u, u), r)]}
+def _pair_step(y, h, r0, r1, r2):
+    """_rk4_step of _pair_rhs on one row: y = (A, A') as 8 floats, R at the nodes as 4 each.
+
+    Its operations in its order, on named floats, through one loop body as
+    in geodesics._geodesic_step; -R A keeps _mul's sums.
+    """
+    a00, a01, a10, a11, p00, p01, p10, p11 = y0 = y
+    s00 = s01 = s10 = s11 = t00 = t01 = t10 = t11 = -0.0
+    for c, w, (m00, m01, m10, m11) in ((0.5 * h, 1.0, r0), (0.5 * h, 2.0, r1), (h, 2.0, r1),
+                                       (None, 1.0, r2)):
+        d00, d01 = -((m00 * a00 + 0.0) + m01 * a10), -((m00 * a01 + 0.0) + m01 * a11)
+        d10, d11 = -((m10 * a00 + 0.0) + m11 * a10), -((m10 * a01 + 0.0) + m11 * a11)
+        s00, s01, s10, s11 = s00 + w * p00, s01 + w * p01, s10 + w * p10, s11 + w * p11
+        t00, t01, t10, t11 = t00 + w * d00, t01 + w * d01, t10 + w * d10, t11 + w * d11
+        if c is not None:
+            a00, a01, a10, a11 = y0[0] + c * p00, y0[1] + c * p01, y0[2] + c * p10, y0[3] + c * p11
+            p00, p01, p10, p11 = y0[4] + c * d00, y0[5] + c * d01, y0[6] + c * d10, y0[7] + c * d11
+    c = h / 6.0
+    return (y0[0] + c * s00, y0[1] + c * s01, y0[2] + c * s10, y0[3] + c * s11,
+            y0[4] + c * t00, y0[5] + c * t01, y0[6] + c * t10, y0[7] + c * t11)
+
+
+def _riccati_step(u, h, r0, r1, r2):
+    """_rk4_step of _riccati_rhs on one row: U and R at the nodes as 4 floats each.
+
+    Its operations in its order, on named floats; -U^2 keeps _mul's sums.
+    """
+    u00, u01, u10, u11 = u0 = u
+    s00 = s01 = s10 = s11 = -0.0
+    for c, w, (m00, m01, m10, m11) in ((0.5 * h, 1.0, r0), (0.5 * h, 2.0, r1), (h, 2.0, r1),
+                                       (None, 1.0, r2)):
+        d00 = -((u00 * u00 + 0.0) + u01 * u10) - m00
+        d01 = -((u00 * u01 + 0.0) + u01 * u11) - m01
+        d10 = -((u10 * u00 + 0.0) + u11 * u10) - m10
+        d11 = -((u10 * u01 + 0.0) + u11 * u11) - m11
+        s00, s01, s10, s11 = s00 + w * d00, s01 + w * d01, s10 + w * d10, s11 + w * d11
+        if c is not None:
+            u00, u01, u10, u11 = u0[0] + c * d00, u0[1] + c * d01, u0[2] + c * d10, u0[3] + c * d11
+    c = h / 6.0
+    return u0[0] + c * s00, u0[1] + c * s01, u0[2] + c * s10, u0[3] + c * s11
+
+
+_LONE_STEP = {_pair_rhs: _pair_step, _riccati_rhs: _riccati_step}
 
 
 def _hermite(times, A, Ap, t):

@@ -41,7 +41,7 @@ from h2xr.jacobi import (
     _scan_chunk,
     _stable_tensors,
 )
-from h2xr.metrics import ChartPoint, MetricSpec, fiber, r_v_operator_many
+from h2xr.metrics import ChartPoint, MetricSpec, _fiber_point, fiber, r_v_operator_many
 from oracles import riccati_from_jacobi
 
 PROD = MetricSpec.product(1.0)
@@ -421,9 +421,9 @@ _floor_cut = st.tuples(st.floats(-1.0, 1.0), st.floats(1.05e-6, 2e-6),
        companions=st.lists(st.one_of(_inside, _floor_cut), min_size=1, max_size=3),
        data=st.data())
 def test_batch_rows_propagate_as_their_lone_runs(kind, start, companions, data):
-    # a row's (A, A') and U take the same bits in any RK4 batch as alone,
-    # whatever its companions, including ones cut at the chart floor whose
-    # zero-padded half-grid R_perp the row must never read
+    # a row's geodesic states, (A, A') and U take the same bits in any RK4
+    # batch as alone, whatever its companions, including ones cut at the
+    # chart floor whose zero-padded half-grid R_perp the row must never read
     spec, T, step = _KERNEL_SPECS[kind], 1.0, 0.02
     rows = list(companions)
     b = data.draw(st.integers(0, len(rows)), label="row")
@@ -432,6 +432,7 @@ def test_batch_rows_propagate_as_their_lone_runs(kind, start, companions, data):
     v0s = np.array([unit_vector(spec, ChartPoint(*q0), d) for q0, (_, _, d) in zip(q0s, rows)])
     trajs = integrate_geodesic_batch(spec, q0s, v0s, T, step)
     lone = [integrate_geodesic(spec, ChartPoint(*q0s[b]), v0s[b], T, step)]
+    assert trajs[b].states.tobytes() == lone[0].states.tobytes()
     # an anchor at most 0.24 back: -U^2 - R then stays far below the blow-up
     # bound unless R_perp exceeds about 40, and these starts keep it under 10
     k = data.draw(st.integers(1, 12), label="anchor")
@@ -611,12 +612,35 @@ def test_rhs_products_sum_as_a_non_fma_kernel(data, B):
                     for cm, sm in zip(UU, R.tolist())])
     assert _pair_rhs(np.stack((A, Ap)), R).tobytes() == pair.tobytes()
     assert _riccati_rhs(U, R).tobytes() == ric.tobytes()
+
+
+_small = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200)   # a signed zero that reaches the output needs several zero draws
+@given(data=st.data(), kind=st.sampled_from(sorted(_KERNEL_SPECS)), B=st.integers(1, 4),
+       h=st.floats(1e-4, 0.05))
+def test_float_steps_match_the_array_kernels(data, kind, B, h):
+    # one float RK4 step of a lone row gives the bits of _rk4_step on the
+    # array kernel for that row of a batch, signed zeros included: the
+    # geodesic state through _rhs, (A, A') and U at three R_perp nodes
+    def draw(n, entries=_entries):
+        return np.array(data.draw(st.lists(entries, min_size=n * B, max_size=n * B))).reshape(B, n)
+
+    spec = _KERNEL_SPECS[kind]
+    s = np.hstack((draw(1, st.floats(-1.0, 1.0)), draw(1, st.floats(0.5, 2.0)), draw(10, _small)))
+    y, u, R = draw(8).reshape(B, 2, 2, 2).swapaxes(0, 1), draw(4).reshape(B, 2, 2), draw(12)
+    nodes = R.reshape(B, 3, 2, 2)   # _rk4_step's stages read nodes i = 0, 1, 1, 2
+    geo = geodesics._rk4_step(lambda y, _: geodesics._rhs(spec, y), s, h)
+    pair = geodesics._rk4_step(lambda y, i: _pair_rhs(y, nodes[:, i]), y, h)
+    ric = geodesics._rk4_step(lambda u, i: _riccati_rhs(u, nodes[:, i]), u, h)
+    fiber = _fiber_point(spec)
     for b in range(B):
-        y = A[b].ravel().tolist() + Ap[b].ravel().tolist()
-        got = jacobi_mod._FLOAT_RHS[_pair_rhs](y, R[b].ravel().tolist())
-        assert np.array(got).tobytes() == pair[:, b].tobytes()
-        got = jacobi_mod._FLOAT_RHS[_riccati_rhs](U[b].ravel().tolist(), R[b].ravel().tolist())
-        assert np.array(got).tobytes() == ric[b].tobytes()
+        r = R[b].reshape(3, 4).tolist()
+        for got, ref in ((geodesics._geodesic_step(fiber, s[b].tolist(), h), geo[b]),
+                         (jacobi_mod._pair_step(y[:, b].ravel().tolist(), h, *r), pair[:, b]),
+                         (jacobi_mod._riccati_step(u[b].ravel().tolist(), h, *r), ric[b])):
+            assert np.array(got).tobytes() == ref.tobytes()
 
 
 def test_riccati_average_product_zero_and_deterministic():

@@ -54,6 +54,13 @@ JOBS = [
     # Twisted, straight down: the lone row, stepped on floats, is cut at Y_FLOOR
     ("jacobi-twisted-floor", "jacobi",
      "kind: Twisted\npotential: log_y\nalpha: 0.001\nv0_x: 0\nv0_y: -1\nv0_t: 0\nT: 20\nstep: 0.01\n", 1),
+    # far outside the warp ball, straight up: y = e^t leaves the float range, exit 3 at t = 356
+    ("jacobi-warped-overflow", "jacobi",
+     "kind: Warped\neps: 0.1\nq0_x: 5\nq0_y: 1\nv0_x: 0\nv0_y: 1\nv0_t: 0\nT: 800\nstep: 1\n", 1),
+    # phi = 1 + x: heading to -x from x = -0.5 the lone row meets phi = 0, exit 2
+    ("jacobi-twisted-zero-shear", "jacobi",
+     "kind: Twisted\npotential: x\nalpha: 1\nq0_x: -0.5\nq0_y: 1\nv0_x: -1\nv0_y: 0\nv0_t: 0\n"
+     "T: 5\nstep: 0.01\n", 1),
     ("riccati-stable-warped", "riccati-stable", _SLANTED + "T: 8\nanchor: 4\n", 1),
     ("riccati-stable-twisted", "riccati-stable",
      "kind: Twisted\npotential: x\nalpha: 0.05\nv0_x: 0.2\nv0_t: 0.5\nT: 8\nanchor: 4\n", 1),
