@@ -180,7 +180,7 @@ def _geodesic_step(fiber, s, h):
     stage state skips q_t, which no derivative reads.
     """
     x0, y0, t0, vx0, vy0, vt0, ax0, ay0, at0, bx0, by0, bt0 = s
-    x, y, vx, vy, vt, ax, ay, at, bx, by, bt = x0, y0, vx0, vy0, vt0, ax0, ay0, at0, bx0, by0, bt0
+    x, y, _, vx, vy, vt, ax, ay, at, bx, by, bt = s   # the stage state
     sx = sy = st = svx = svy = svt = sax = say = sat = sbx = sby = sbt = -0.0
     # stage k_i has weight w, and stage i + 1 reads s + c k_i
     for c, w in ((0.5 * h, 1.0), (0.5 * h, 2.0), (h, 2.0), (None, 1.0)):

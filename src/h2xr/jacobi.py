@@ -212,7 +212,7 @@ def _march(times, rhalf, y, k_from, k_to, f, bound=None):
             return _rk4_step(lambda y, i: f(y, nodes[i]), y, h)
     steps[k_from] = y
     for k in range(k_from, k_to, d):
-        j = 2 * k
+        j = 2 * k   # h = times[k + d] - times[k], to the bit: hs holds the forward steps
         y = step(y, d * hs[min(k, k + d)], R[j], R[j + d], R[j + 2 * d])
         # NaN-safe: over the bound, inf and nan all fail it (max() skips a nan not first)
         if bound is not None and not (all(abs(c) <= bound for c in y) if lone
