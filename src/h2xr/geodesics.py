@@ -22,6 +22,16 @@ steps a lone (A, A') and Riccati U the same way.  `_rk4_step` also steps
 (start, midpoint, midpoint, end), which the autonomous geodesic flow
 ignores.
 
+A lone row on an orbit of the Killing field d_t is filled, not stepped.
+That is a vertical row (v_x = v_y = 0) through a critical point of phi:
+the warp centre, any point outside the warp ball, any point of a
+Twisted metric with alpha = 0.  There every stage derivative but q_t's
+is +-0, so once a step returns its input's other eleven components bit
+for bit, every later step would return them too, and q_t would move by
+(h / 6) times the same stage sum of v_t; `_rk4_lone` writes exactly
+that (`_on_killing_orbit` has the argument).  In a batch the row steps,
+to the same bits.
+
 Either way the samples sit on the same time grid, and a trajectory
 holds them in one (N, 12) state array, each row (q, v, e1, e2): the
 layout of the RK4 state and of `Trajectory.start`.  A start at or below
@@ -38,6 +48,7 @@ diag(1/y^2, 1/y^2, phi^2); the initial Gram-Schmidt runs on floats.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,16 +268,20 @@ def _rk4_lone(spec, y, times):
     """_rk4_rows of one row, y its 12 floats, stepped by _geodesic_step.
 
     A float divided by zero, where numpy would give inf or nan, ends the
-    run as a non-finite state would.
+    run as a non-finite state would.  Once a step shows the row is an
+    orbit of d_t (_on_killing_orbit), the rest of the run is filled with
+    that state, q_t advancing as each step would advance it.
     """
     fiber = _fiber_point(spec)
     samples = np.empty((len(times), 12))
     samples[0] = y
     n = len(times)  # samples kept
+    hs = np.diff(times)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # numpy scalars in fiber
-        for k, h in enumerate(np.diff(times).tolist()):
+        for k, h in enumerate(hs.tolist()):
+            s = y
             try:
-                y = _geodesic_step(fiber, y, h)
+                y = _geodesic_step(fiber, s, h)
                 finite = all(map(math.isfinite, y))
             except ArithmeticError:
                 finite = False
@@ -276,7 +291,33 @@ def _rk4_lone(spec, y, times):
                 n = k + 1
                 break
             samples[k + 1] = y
+            if s[3] == 0.0 and s[4] == 0.0 and _on_killing_orbit(fiber, s, y):
+                vt = y[5]
+                st = ((vt + 2.0 * vt) + 2.0 * vt) + vt   # _geodesic_step's sum for q_t
+                samples[k + 2:] = y
+                samples[k + 1:, 2] = np.add.accumulate(np.append(y[2], hs[k + 1:] / 6.0 * st))
+                break
     return samples if n == len(times) else samples[:n].copy()
+
+
+def _on_killing_orbit(fiber, s, new):
+    """Whether every later step of new, the step of s, returns it unchanged but for q_t.
+
+    s has v_x = v_y = 0.  If the fiber gradient is zero at s's point, every
+    stage derivative of the other eleven components is +-0, whatever h > 0:
+    each term has a factor v_x, v_y, d_x phi or d_y phi, the others finite.
+    So a stage point differs from s's only in the sign of a zero x, and
+    the gradient is checked at both signs.  If new also holds those eleven
+    components of s (by their bits: -0.0 == 0.0), a step from new repeats
+    this one's arithmetic with the same bits, and only q_t moves, by
+    (h / 6) times the stage sum of v_t: the row is an orbit of d_t.
+    """
+    x, y = s[0], s[1]
+    for px in ((x, -x) if x == 0.0 else (x,)):
+        _, dfx, dfy = fiber(px, y)
+        if dfx != 0.0 or dfy != 0.0:
+            return False
+    return struct.pack("11d", *s[:2], *s[3:]) == struct.pack("11d", *new[:2], *new[3:])
 
 
 def _mobius_factors(state, times):

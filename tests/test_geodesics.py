@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from h2xr import geodesics
 from h2xr.errors import DomainError, NumericsError
@@ -299,6 +299,69 @@ def test_product_rows_stay_on_their_geodesic_over_full_horizon():
             dist = np.arcsinh(np.abs(x - x0) / y)
         worst = max(worst, float(np.max(dist)))
     assert worst <= 1e-7
+
+
+def _counting_steps(m):
+    """Wrap geodesics._geodesic_step in the monkeypatch context m; returns its call list."""
+    calls, step = [], geodesics._geodesic_step
+    m.setattr(geodesics, "_geodesic_step", lambda *a: calls.append(a[2]) or step(*a))
+    return calls
+
+
+@settings(max_examples=40)
+@given(eps=st.floats(0.05, 0.4), cx=st.floats(-1.0, 1.0), cy=st.floats(0.5, 2.0),
+       place=st.sampled_from(["centre", "outside", "twisted"]),
+       offset=st.floats(1.0, 4.0) | st.floats(-4.0, -1.0),
+       potential=st.sampled_from(["x", "log_y"]), T=st.floats(0.05, 5.0), first=st.booleans())
+def test_killing_orbit_rows_fill_with_their_batch_bits(eps, cx, cy, place, offset, potential, T,
+                                                       first):
+    # a vertical row along an orbit of d_t (at the warp centre, outside the
+    # warp ball, on Twisted with alpha = 0) is filled after its first step
+    # alone, and stepped in a batch next to a slanted row: the same bytes,
+    # also where the grid ends with a shorter step
+    if place == "twisted":
+        spec = MetricSpec.twisted(0.0, potential)
+    else:
+        spec = MetricSpec.warped(eps, center=HPoint(cx, cy))
+    q0 = ChartPoint(cx + offset * cy if place == "outside" else cx, cy, 0.0)
+    if place == "outside":
+        assert hyp_distance(HPoint(cx, cy), HPoint(q0.x, q0.y)) > spec.warp.r1
+    v0 = unit_vector(spec, q0, [0, 0, 1])
+    with pytest.MonkeyPatch.context() as m:
+        calls = _counting_steps(m)
+        lone = integrate_geodesic(spec, q0, v0, T, step=1e-2)
+    assert len(calls) <= 3
+    slanted = ChartPoint(cx + 0.1 * cy, cy, 0.0)
+    rows = [(q0, v0), (slanted, unit_vector(spec, slanted, [0.3, 0.2, 1]))]
+    rows = rows if first else rows[::-1]
+    batch = integrate_geodesic_batch(spec, [q.as_array() for q, _ in rows],
+                                     [v for _, v in rows], T, step=1e-2)[0 if first else 1]
+    assert lone.times.tobytes() == batch.times.tobytes()
+    assert lone.states.tobytes() == batch.states.tobytes()
+
+
+def test_killing_orbit_fill_fires_only_on_an_orbit():
+    # the central row of Example 2 takes one step of 10,000 and is filled;
+    # a vertical row just off the critical point, inside the cap, steps
+    # every sample, and gets its batch bits
+    v0 = unit_vector(WARP, ORIGIN, [0, 0, 1])
+    with pytest.MonkeyPatch.context() as m:
+        calls = _counting_steps(m)
+        tr = integrate_geodesic(WARP, ORIGIN, v0, T=10.0)
+    assert len(calls) <= 3 and tr.n_samples == 10001
+    assert np.array_equal(tr.states[:, [0, 1, *range(3, 12)]],
+                          np.broadcast_to(tr.start[[0, 1, *range(3, 12)]], (10001, 11)))
+    assert np.all(np.diff(tr.q[:, 2]) > 0.0) and tr.q[-1, 2] == pytest.approx(10.0 * v0[2])
+    off = ChartPoint(0.1, 0.9, 0.0)
+    q0s = np.array([off.as_array(), [0.0, 1.0, 0.0]])
+    v0s = np.array([unit_vector(WARP, off, [0, 0, 1]), v0])
+    with pytest.MonkeyPatch.context() as m:
+        calls = _counting_steps(m)
+        lone = integrate_geodesic(WARP, off, v0s[0], T=1.0, step=1e-2)
+    assert len(calls) == 100
+    assert np.max(np.abs(lone.v[:, 0])) > 0.0
+    batch = integrate_geodesic_batch(WARP, q0s, v0s, T=1.0, step=1e-2)
+    assert lone.states.tobytes() == batch[0].states.tobytes()
 
 
 def test_product_never_steps_rk4(monkeypatch):
