@@ -120,24 +120,30 @@ def _rperp(spec, s):
     return out
 
 
-def _half_grid_rperp(traj: Trajectory) -> np.ndarray:
-    """R_perp on the half-step grid, (2 N - 1, 2, 2): samples at 2k, Hermite midpoints at 2k + 1."""
-    s = traj.states
+def _half_grid_rperp(traj: Trajectory, n=None) -> np.ndarray:
+    """R_perp on the half-step grid of samples 0..n-1 (all by default), (2 n - 1, 2, 2).
+
+    Sample k sits at index 2k, the Hermite midpoint of step k at 2k + 1.
+    """
+    s = traj.states[:n]
     f = _rhs(traj.spec, s)
-    h = np.diff(traj.times)[:, None]
+    h = np.diff(traj.times[:n])[:, None]
     half = np.empty((2 * len(s) - 1, 12))
     half[0::2] = s
     half[1::2] = 0.5 * (s[:-1] + s[1:]) + (0.125 * h) * (f[:-1] - f[1:])
     return _rperp(traj.spec, half)
 
 
-def _half_grid_batch(trajs):
-    """(times of the longest row, every row's half-grid R_perp zero-padded to it)."""
-    longest = max(trajs, key=lambda t: t.n_samples)
-    rhalf = np.zeros((len(trajs), 2 * longest.n_samples - 1, 2, 2))
+def _half_grid_batch(trajs, n=None):
+    """(times of the longest row, every row's half-grid R_perp zero-padded to it).
+
+    Both stop at sample n - 1 when n is given.
+    """
+    times = max((t.times for t in trajs), key=len)[:n]
+    rhalf = np.zeros((len(trajs), 2 * len(times) - 1, 2, 2))
     for b, t in enumerate(trajs):
-        rhalf[b, : 2 * t.n_samples - 1] = _half_grid_rperp(t)
-    return longest.times, rhalf
+        rhalf[b, : 2 * min(t.n_samples, len(times)) - 1] = _half_grid_rperp(t, n)
+    return times, rhalf
 
 
 def _base_coupling(s):
@@ -429,14 +435,15 @@ def _stable_tensors(trajs, k):
 
     The rows share one spec and one time grid.  Product rows take the
     closed form one at a time; the other kinds integrate backward in one
-    RK4 batch.
+    RK4 batch over the half-grid R_perp of those samples, the only ones
+    the backward march reads.
     """
     if trajs[0].spec.kind == "Product":
         for t in trajs:
             yield _product_riccati(*_product_axis(t), t.times[: k + 1], t.times[k])
         return
     u = np.zeros((len(trajs), 2, 2))
-    yield from _march(*_half_grid_batch(trajs), u, k, 0, _riccati_rhs, RICCATI_BLOWUP)[:, : k + 1]
+    yield from _march(*_half_grid_batch(trajs, k + 1), u, k, 0, _riccati_rhs, RICCATI_BLOWUP)
 
 
 def riccati_stable(traj: Trajectory, T_anchor: float) -> RiccatiRun:

@@ -558,6 +558,26 @@ def test_riccati_blowup_error():
     assert exc.value.info["time"] > 0.0
 
 
+@pytest.mark.parametrize("kind", sorted(_KERNEL_SPECS))
+def test_stable_tensors_take_the_bits_of_the_full_grid_march(kind):
+    # the backward march from sample k reads R_perp on samples 0..k only, so
+    # building the half grid there gives U the bits of a march over the
+    # whole trajectory's half grid, alone and in a batch
+    spec = _KERNEL_SPECS[kind]
+    q0s = np.array([[0.1, 0.9, 0.0], [-0.1, 1.1, 0.5]])
+    v0s = np.array([unit_vector(spec, ChartPoint(*q), d)
+                    for q, d in zip(q0s, ([0.3, 0.2, 1.0], [0.1, -0.1, 1.0]))])
+    trajs = integrate_geodesic_batch(spec, q0s, v0s, T=1.5, step=1e-2)
+    for rows in (trajs[:1], trajs):
+        for k in (1, 37, 100, 150):
+            u = np.zeros((len(rows), 2, 2))
+            full = _march(*_half_grid_batch(rows), u, k, 0, _riccati_rhs,
+                          jacobi_mod.RICCATI_BLOWUP)[:, : k + 1]
+            assert np.stack(list(_stable_tensors(rows, k))).tobytes() == full.tobytes()
+    tr = trajs[0]
+    assert riccati_stable(tr, 0.8).U.tobytes() == next(_stable_tensors([tr], 80)).tobytes()
+
+
 @pytest.mark.parametrize("index, r", [
     pytest.param(11, 2e6, id="2000000.0"), pytest.param(11, -2e6, id="-2000000.0"),
     pytest.param(11, math.nan, id="nan"), pytest.param(10, 2e8, id="sample-200000000.0"),
