@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -52,6 +53,13 @@ def write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _numpy_cpu_dispatch() -> list[str]:
+    """numpy's CPU dispatch targets that are enabled on this host, as np.show_runtime reads them."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+
+
 def write_outputs(out_dir: Path, tables: dict, cfg: JobConfig, summary: dict,
                   started: float) -> list[str]:
     """Write data CSVs plus the run manifest; returns the file names."""
@@ -71,6 +79,9 @@ def write_outputs(out_dir: Path, tables: dict, cfg: JobConfig, summary: dict,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
+            # the bits of numpy's transcendental loops and of BLAS follow these
+            "numpy_cpu_dispatch": _numpy_cpu_dispatch(),
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         },
         "wall_time_s": time.perf_counter() - started,
     }

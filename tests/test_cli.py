@@ -221,6 +221,24 @@ def test_moduli_dim_run_and_outputs(tmp_path):
     assert "wall_time_s" in manifest
 
 
+def test_manifest_records_what_the_bits_depend_on(tmp_path, monkeypatch):
+    # numpy's enabled CPU dispatch targets and the pinned OpenBLAS kernel,
+    # null when none is pinned, so two manifests show why their bytes differ
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    for coretype in (None, "Nehalem"):
+        if coretype is None:
+            monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        out = tmp_path / str(coretype)
+        assert main(["moduli-dim", "--out", str(out)]) == 0
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert versions["openblas_coretype"] == coretype
+        targets = versions["numpy_cpu_dispatch"]
+        assert isinstance(targets, list) and set(targets) <= set(__cpu_dispatch__)
+
+
 def test_spectrum_run(tmp_path):
     sig = write(tmp_path, "sigma.txt", "0.0\n0.25\n1.7\n")
     cfg = write(tmp_path, "s.cfg", f"job: spectrum\nsigma_file: {sig}\nL: {2*math.pi}\ncutoff: 4.5\n")

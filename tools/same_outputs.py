@@ -41,6 +41,12 @@ _SLANTED = "kind: Warped\neps: 0.1\nq0_x: 0.1\nq0_y: 0.9\nv0_x: 0.3\nv0_y: 0.2\n
 JOBS = [
     ("jacobi-warped-central", "jacobi", _CENTRAL + "T: 10\n", 1),
     ("jacobi-warped-slanted", "jacobi", _SLANTED + "T: 8\n", 1),
+    # vertical rows on orbits of d_t off the centre: outside the warp ball
+    # (phi == 1) and on Twisted with alpha = 0; both are filled after one step
+    ("jacobi-warped-outside-vertical", "jacobi",
+     "kind: Warped\neps: 0.1\nq0_x: 5\nv0_x: 0\nv0_t: 1\nT: 10\n", 1),
+    ("jacobi-twisted-alpha0-vertical", "jacobi",
+     "kind: Twisted\nalpha: 0\nv0_x: 0\nv0_t: 1\nT: 5\n", 1),
     # far outside the warp ball, straight down: the lone row is cut at Y_FLOOR
     ("jacobi-warped-floor", "jacobi",
      "kind: Warped\neps: 0.1\nq0_x: 5\nq0_y: 1\nv0_x: 0\nv0_y: -1\nv0_t: 0\nT: 20\nstep: 0.01\n", 1),
