@@ -38,6 +38,18 @@ fourth order.  Between samples, A(t) is the cubic Hermite interpolant of
 no re-integration.  The Product/RK4 choice is made only in `_propagators`
 (A, A'), `_stable_tensors` (U) and `_scan_values` (a scan row's t* and
 det A minimum); every entry point reads one of them.
+
+A lone Warped or Twisted row whose samples hold one state but for q_t,
+by their bits, is an orbit of the Killing field d_t (the central
+geodesic of Example 2 is one).  R_perp and the flow derivative do not
+read q_t, so every step's three nodes repeat the first step's.  When
+those are kappa I (`_scalar_nodes`), (A, A') = (a I, p I) marches as one
+scalar pair (`_scalar_march`) and no half grid is built.  The bits hold:
+in `_pair_step` on such a row the term m01 a10 is a signed zero, so the
+diagonal's sum is m a + 0.0, and the off-diagonals stay +0.0 while every
+value is finite; scalar stages in `_pair_step`'s order repeat the
+diagonal's arithmetic.  A value that overflows hands the row back to
+`_march`.
 """
 
 from __future__ import annotations
@@ -293,6 +305,63 @@ def _riccati_step(u, h, r0, r1, r2):
 _LONE_STEP = {_pair_rhs: _pair_step, _riccati_rhs: _riccati_step}
 
 
+def _scalar_nodes(traj: Trajectory):
+    """kappa at a step's three nodes if a lone row has R_perp = kappa I at every node, else None.
+
+    The row's samples must hold one state but for q_t, by their bits.  R_perp
+    and the flow derivative do not read q_t, so every sample node then has
+    the R_perp of sample 0 and every midpoint node that of midpoint 0
+    ((h/8)(f_k - f_{k+1}) is +0.0 for any h > 0): the three nodes of the
+    first step are those of every step.  Each must be kappa I with kappa
+    finite, its off-diagonals +-0 and its diagonal entries of equal bits.
+    """
+    bits = traj.states.view(np.uint64)
+    if len(bits) < 2 or not ((bits[:, :2] == bits[0, :2]).all()
+                             and (bits[:, 3:] == bits[0, 3:]).all()):
+        return None
+    r = _half_grid_rperp(traj, 2)
+    kappa = r[:, 0, 0]
+    if ((r[:, 0, 1] == 0.0).all() and (r[:, 1, 0] == 0.0).all() and np.isfinite(kappa).all()
+            and (kappa.view(np.uint64) == r[:, 1, 1].view(np.uint64)).all()):
+        return kappa.tolist()
+    return None
+
+
+def _scalar_march(times, nodes, a, p):
+    """(A, A') of _march on _pair_rhs from A = a I, A' = p I, when R_perp = r I at all nodes.
+
+    nodes are r at a step's three nodes, the same for every step
+    (_scalar_nodes).  Each step is _pair_step's diagonal, its stages in
+    their order: its term m01 a10 is a signed zero, which leaves
+    (m00 a00 + 0.0) + m01 a10 equal to m a + 0.0, and its stage sums start
+    at -0.0 + 1.0 x, which is x.  The off-diagonals come out +0.0, as
+    _pair_step leaves them for h > 0 while every value stays finite; if
+    one does not, None.
+    """
+    r0, r1, r2 = nodes
+    ap = [(a, p)]
+    for h in np.diff(times).tolist():
+        c = 0.5 * h
+        d1 = -(r0 * a + 0.0)
+        a2, p2 = a + c * p, p + c * d1
+        d2 = -(r1 * a2 + 0.0)
+        a3, p3 = a + c * p2, p + c * d2
+        d3 = -(r1 * a3 + 0.0)
+        a4, p4 = a + h * p3, p + h * d3
+        d4 = -(r2 * a4 + 0.0)
+        c = h / 6.0
+        a, p = (a + c * (((p + 2.0 * p2) + 2.0 * p3) + p4),
+                p + c * (((d1 + 2.0 * d2) + 2.0 * d3) + d4))
+        ap.append((a, p))
+    if not (math.isfinite(a) and math.isfinite(p)):   # inf and nan never turn finite again
+        return None
+    ap = np.array(ap)
+    A, Ap = np.zeros((2, len(ap), 2, 2))
+    A[:, 0, 0] = A[:, 1, 1] = ap[:, 0]
+    Ap[:, 0, 0] = Ap[:, 1, 1] = ap[:, 1]
+    return A, Ap
+
+
 def _hermite(times, A, Ap, t):
     """A(t) from the cubic Hermite interpolant of (A, A') on the sample interval holding t."""
     k = min(max(int(np.searchsorted(times, t)) - 1, 0), len(times) - 2)
@@ -366,7 +435,8 @@ def _propagators(trajs, companion=False):
     """Each row's (A, A') with A(0) = 0, A'(0) = I, or A(0) = I, A'(0) = 0 if companion.
 
     The rows share one spec.  Product rows take the closed form one at a
-    time, so only one row's arrays are alive; the other kinds step one RK4
+    time, so only one row's arrays are alive; a lone row with R_perp = kappa I
+    at every node marches one scalar pair; the other rows step one RK4
     batch over half-grid R_perp zero-padded past each row's end, and each
     row's result is sliced back to its own length.
     """
@@ -375,6 +445,11 @@ def _propagators(trajs, companion=False):
         for t in trajs:
             yield _product_propagators(*_product_axis(t), t.times)[pick]
         return
+    if len(trajs) == 1 and (nodes := _scalar_nodes(trajs[0])) is not None:
+        pair = _scalar_march(trajs[0].times, nodes, *((1.0, 0.0) if companion else (0.0, 1.0)))
+        if pair is not None:
+            yield pair
+            return
     times, rhalf = _half_grid_batch(trajs)
     y = np.zeros((2, len(trajs), 2, 2))
     y[0 if companion else 1] = np.eye(2)
@@ -430,45 +505,53 @@ def _anchor_index(traj: Trajectory, T_anchor: float) -> int:
     return int(np.argmin(np.abs(traj.times - T_anchor)))
 
 
-def _stable_tensors(trajs, k):
-    """Each row's zero-anchored U on samples 0..k, shape (k + 1, 2, 2).
+def _stable_tensors(trajs, ks):
+    """Each row's zero-anchored U on samples 0..k for each anchor k of ks, shapes (k + 1, 2, 2).
 
     The rows share one spec and one time grid.  Product rows take the
     closed form one at a time; the other kinds integrate backward in one
-    RK4 batch over the half-grid R_perp of those samples, the only ones
-    the backward march reads.
+    RK4 batch per anchor over one half-grid R_perp of samples 0..max(ks),
+    the only ones the backward marches read.
     """
     if trajs[0].spec.kind == "Product":
         for t in trajs:
-            yield _product_riccati(*_product_axis(t), t.times[: k + 1], t.times[k])
+            sigma, P = _product_axis(t)
+            yield tuple(_product_riccati(sigma, P, t.times[: k + 1], t.times[k]) for k in ks)
         return
+    times, rhalf = _half_grid_batch(trajs, max(ks) + 1)
     u = np.zeros((len(trajs), 2, 2))
-    yield from _march(*_half_grid_batch(trajs, k + 1), u, k, 0, _riccati_rhs, RICCATI_BLOWUP)
+    yield from zip(*(_march(times, rhalf, u, k, 0, _riccati_rhs, RICCATI_BLOWUP)[:, : k + 1]
+                     for k in ks))
+
+
+def _riccati_run(traj: Trajectory, k: int, U) -> RiccatiRun:
+    times = traj.times[: k + 1].copy()
+    return RiccatiRun(traj=traj, times=times, U=U, T_anchor=float(times[k]))
 
 
 def riccati_stable(traj: Trajectory, T_anchor: float) -> RiccatiRun:
     """Backward zero-anchored Riccati solution on [0, T_anchor]."""
     k = _anchor_index(traj, T_anchor)
-    times = traj.times[: k + 1].copy()
-    U = next(_stable_tensors([traj], k))
-    return RiccatiRun(traj=traj, times=times, U=U, T_anchor=float(times[k]))
+    (U,) = next(_stable_tensors([traj], (k,)))
+    return _riccati_run(traj, k, U)
 
 
 def riccati_stable_limit(traj: Trajectory, T: float, tol: float = 1e-6):
     """Anchored-limit stable tensor: anchors T and 2T must agree at t = 0.
 
+    Both anchors march on one half grid, that of the 2T anchor.
     Returns (RiccatiRun at anchor 2T, agreement delta at t = 0).
     """
     if 2.0 * T > traj.T + 1e-12:
         raise DomainError(f"trajectory too short for anchor doubling: need T >= {2*T}")
-    run1 = riccati_stable(traj, T)
-    run2 = riccati_stable(traj, 2.0 * T)
-    delta = float(np.max(np.abs(run1.U[0] - run2.U[0])))
+    k1, k2 = _anchor_index(traj, T), _anchor_index(traj, 2.0 * T)
+    U1, U2 = next(_stable_tensors([traj], (k1, k2)))
+    delta = float(np.max(np.abs(U1[0] - U2[0])))
     if delta > tol:
         raise NumericsError(
             "anchored Riccati solutions did not converge", delta=delta, tol=tol
         )
-    return run2, delta
+    return _riccati_run(traj, k2, U2), delta
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +617,15 @@ def riccati_average(spec: MetricSpec, sampler, n: int, seed: int,
     v0 = np.zeros_like(pts)
     v0[:, 2] = 1.0 / phi
 
-    trajs = integrate_geodesic_batch(spec, pts, v0, anchor, step)
+    # Product rows are closed form, so one batch; a lone row of the other kinds
+    # on an orbit of d_t, as a kept row at a critical point of phi is, is filled
+    rows = [slice(None)] if spec.kind == "Product" else [slice(b, b + 1) for b in range(len(pts))]
+    trajs = [t for r in rows for t in integrate_geodesic_batch(spec, pts[r], v0[r], anchor, step)]
     cut = [b for b, t in enumerate(trajs) if t.truncated]
     if cut:
         raise NumericsError("vertical geodesic left the chart", row=cut[0])
     # copy row 0: a view would keep each row's whole U alive
-    u0 = np.stack([U[0].copy() for U in _stable_tensors(trajs, trajs[0].n_samples - 1)])
+    u0 = np.stack([U[0].copy() for U, in _stable_tensors(trajs, (trajs[0].n_samples - 1,))])
     rv = _r_v(pts[:, 1], phi, hess)
     values = np.einsum("bij,bji->b", u0, u0) + np.trace(rv, axis1=-2, axis2=-1)
     est = float(np.mean(values))

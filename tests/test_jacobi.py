@@ -1,5 +1,6 @@
 """Jacobi propagators, conjugate points, Riccati tensors, Rauch bounds."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -437,9 +438,120 @@ def test_batch_rows_propagate_as_their_lone_runs(kind, start, companions, data):
     # bound unless R_perp exceeds about 40, and these starts keep it under 10
     k = data.draw(st.integers(1, 12), label="anchor")
     (A, Ap), (A1, Ap1) = list(_propagators(trajs))[b], next(_propagators(lone))
-    U, U1 = list(_stable_tensors(trajs, k))[b], next(_stable_tensors(lone, k))
+    (U,), (U1,) = list(_stable_tensors(trajs, (k,)))[b], next(_stable_tensors(lone, (k,)))
     for got, ref in ((A, A1), (Ap, Ap1), (U, U1)):
         assert got.tobytes() == ref.tobytes()
+
+
+# lone vertical rows on orbits of d_t along which R_perp = kappa I
+_ORBIT_ROWS = {
+    "warped-0.1-centre": (MetricSpec.warped(eps=0.1), ORIGIN, 10.0),        # kappa = w^2 > 0
+    "warped-0.4-centre": (MetricSpec.warped(eps=0.4), ORIGIN, 10.0),
+    "warped-outside": (MetricSpec.warped(eps=0.1), ChartPoint(5.0, 1.0, 0.0), 10.0),  # kappa = 0
+    "twisted-alpha0": (MetricSpec.twisted(0.0), ORIGIN, 5.0),
+}
+
+
+def _vertical_run(spec, q0, T, step=1e-3):
+    return integrate_geodesic(spec, q0, unit_vector(spec, q0, [0, 0, 1]), T=T, step=step)
+
+
+def _count_scalar_marches(monkeypatch):
+    calls = []
+    march = jacobi_mod._scalar_march
+
+    def counted(*args):
+        calls.append(args)
+        return march(*args)
+    monkeypatch.setattr(jacobi_mod, "_scalar_march", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_ORBIT_ROWS))
+def test_scalar_march_takes_the_bits_of_the_pair_march(name, monkeypatch):
+    # a lone row with R_perp = kappa I marches (A, A') = (a I, p I) as one
+    # scalar pair; A, A', det A and the conjugates keep the bits of the
+    # 8-float march on the half grid, from both starts
+    tr = _vertical_run(*_ORBIT_ROWS[name])
+    calls = _count_scalar_marches(monkeypatch)
+    run, comp = propagate_jacobi(tr), companion_propagator(tr)
+    assert len(calls) == 2
+    monkeypatch.setattr(jacobi_mod, "_scalar_nodes", lambda traj: None)
+    ref, ref_comp = propagate_jacobi(tr), companion_propagator(tr)
+    assert len(calls) == 2
+    for got, want in ((run.A, ref.A), (run.Ap, ref.Ap), (run.dets, ref.dets),
+                      (np.array(run.conjugates), np.array(ref.conjugates)), *zip(comp, ref_comp)):
+        assert got.tobytes() == want.tobytes()
+    if name == "warped-0.4-centre":   # t* = pi / w and 2 pi / w, w^2 = 2/3
+        assert run.conjugates == pytest.approx([math.pi / math.sqrt(2.0 / 3.0),
+                                                2.0 * math.pi / math.sqrt(2.0 / 3.0)], abs=1e-8)
+
+
+@pytest.mark.parametrize("spec, q0, direction", [
+    (MetricSpec.warped(eps=0.1), ChartPoint(0.1, 0.9, 0.0), [0.3, 0.2, 1.0]),   # slanted
+    (MetricSpec.warped(eps=0.1), ChartPoint(0.1, 0.9, 0.0), [0.0, 0.0, 1.0]),   # grad phi != 0
+    (MetricSpec.twisted(0.05, "x"), ORIGIN, [0.0, 0.0, 1.0]),
+], ids=["slanted", "vertical-off-centre", "twisted-x-vertical"])
+def test_scalar_march_only_on_a_kappa_orbit(spec, q0, direction, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scalar march ran")
+    monkeypatch.setattr(jacobi_mod, "_scalar_march", refuse)
+    tr = integrate_geodesic(spec, q0, unit_vector(spec, q0, direction), T=2.0, step=1e-2)
+    assert np.isfinite(propagate_jacobi(tr).A).all()
+    # an orbit row in a batch takes the batch march
+    orbit = _vertical_run(*_ORBIT_ROWS["warped-0.1-centre"][:2], T=2.0, step=1e-2)
+    assert np.isfinite(next(_propagators([orbit, tr]))[0]).all()
+
+
+def test_scalar_nodes_need_one_state_and_kappa_identity():
+    # rows held at one state but for q_t: at the centre R_perp = w^2 I; below
+    # it the radial and angular Hessians of phi differ, so R_perp is diagonal
+    # but not kappa I
+    spec = MetricSpec.warped(eps=0.1)
+
+    def held_at(q0):
+        tr = _vertical_run(spec, q0, T=0.02, step=1e-2)
+        held = np.repeat(tr.states[:1], 3, axis=0)
+        held[:, 2] = tr.times
+        return dataclasses.replace(tr, _states=held)
+
+    centre = held_at(ORIGIN)
+    assert jacobi_mod._scalar_nodes(centre) == pytest.approx([OMEGA_01 ** 2] * 3, rel=1e-15)
+    centre.states[2, 0] = -0.0   # the same state by ==, not by its bits
+    assert jacobi_mod._scalar_nodes(centre) is None
+    assert jacobi_mod._scalar_nodes(held_at(ChartPoint(0.0, 0.9, 0.0))) is None
+    # phi = 1 outside the warp ball, so R_perp = -c c^T, c_a = (w_a x u) / y^2:
+    # a held state (not a geodesic) with c_1 = c_2 has equal diagonals
+    skew = held_at(ChartPoint(5.0, 1.0, 0.0))
+    skew.states[:, 3:5], skew.states[:, 6:8], skew.states[:, 9:11] = (1.0, 0.0), 0.5, (-0.5, 0.5)
+    r = _half_grid_rperp(skew, 2)
+    assert (r[:, 0, 0] == r[:, 1, 1]).all() and (r[:, 0, 1] != 0.0).all()
+    assert jacobi_mod._scalar_nodes(skew) is None
+
+
+def test_scalar_march_gives_way_when_a_value_overflows(monkeypatch):
+    # h w = 3.3 is past RK4's stability bound 2.83 on an oscillator: A grows
+    # until it overflows, and the 8-float march then turns its off-diagonals nan
+    tr = _vertical_run(MetricSpec.warped(eps=0.4), ORIGIN, T=4000.0, step=4.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = next(_propagators([tr]))[0]
+        monkeypatch.setattr(jacobi_mod, "_scalar_nodes", lambda traj: None)
+        ref = next(_propagators([tr]))[0]
+    assert np.isnan(A[-1]).all()
+    assert A.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("T, n", [(1e-13, 1), (1e-2, 2)])
+def test_orbit_rows_of_one_or_two_samples_propagate(T, n, monkeypatch):
+    tr = _vertical_run(*_ORBIT_ROWS["warped-0.1-centre"][:2], T=T, step=1e-2)
+    assert tr.n_samples == n
+    calls = _count_scalar_marches(monkeypatch)
+    run = propagate_jacobi(tr)
+    assert len(calls) == n - 1   # one sample: no step to read R_perp at
+    assert run.A[0].tobytes() == np.zeros((2, 2)).tobytes()
+    assert run.conjugates == []
+    monkeypatch.setattr(jacobi_mod, "_scalar_nodes", lambda traj: None)
+    assert propagate_jacobi(tr).A.tobytes() == run.A.tobytes()
 
 
 def _serial_pool(sizes):
@@ -573,9 +685,24 @@ def test_stable_tensors_take_the_bits_of_the_full_grid_march(kind):
             u = np.zeros((len(rows), 2, 2))
             full = _march(*_half_grid_batch(rows), u, k, 0, _riccati_rhs,
                           jacobi_mod.RICCATI_BLOWUP)[:, : k + 1]
-            assert np.stack(list(_stable_tensors(rows, k))).tobytes() == full.tobytes()
+            assert np.stack([U for U, in _stable_tensors(rows, (k,))]).tobytes() == full.tobytes()
     tr = trajs[0]
-    assert riccati_stable(tr, 0.8).U.tobytes() == next(_stable_tensors([tr], 80)).tobytes()
+    assert riccati_stable(tr, 0.8).U.tobytes() == next(_stable_tensors([tr], (80,)))[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_SPECS) + ["product"])
+def test_stable_limit_keeps_the_bits_of_two_stable_runs(kind):
+    # both anchors march on the 2T anchor's half grid
+    spec = _KERNEL_SPECS.get(kind, PROD)
+    q0 = ChartPoint(0.1, 0.9, 0.0)
+    tr = integrate_geodesic(spec, q0, unit_vector(spec, q0, [0.3, 0.2, 1.0]), T=2.0, step=1e-2)
+    run1, run2 = riccati_stable(tr, 0.7), riccati_stable(tr, 1.4)
+    limit, delta = riccati_stable_limit(tr, 0.7, tol=math.inf)
+    (U1, U2), = _stable_tensors([tr], (70, 140))
+    assert U1.tobytes() == run1.U.tobytes()
+    assert limit.U.tobytes() == U2.tobytes() == run2.U.tobytes()
+    assert limit.times.tobytes() == run2.times.tobytes() and limit.T_anchor == run2.T_anchor
+    assert delta == float(np.max(np.abs(run1.U[0] - run2.U[0])))
 
 
 @pytest.mark.parametrize("index, r", [
@@ -700,6 +827,25 @@ def test_riccati_average_rows_match_single_riccati_runs(spec, sampler):
         u0 = riccati_stable(tr, anchor).U[0]
         rv = r_v_operator_many(spec, p[None])[0]
         assert value == np.einsum("ij,ji->", u0, u0) + np.trace(rv)
+
+
+def test_riccati_average_outside_the_warp_keeps_its_batch_bits():
+    # kept rows are integrated one at a time, each an orbit of d_t outside
+    # the warp ball; values and estimate keep the bits of one RK4 batch
+    spec, sampler, n, seed, anchor, step = (MetricSpec.warped(eps=0.1),
+                                            BoxSampler(x=(3.0, 5.0)), 4, 3, 5.0, 1e-2)
+    res = riccati_average(spec, sampler, n=n, seed=seed, anchor=anchor, step=step)
+    rng = np.random.default_rng(seed)
+    pts = np.array([sampler(rng) for _ in range(n)])
+    v0 = np.zeros_like(pts)
+    v0[:, 2] = 1.0 / fiber(spec, pts)[0]
+    trajs = integrate_geodesic_batch(spec, pts, v0, anchor, step)
+    u0 = np.stack([U[0] for U, in _stable_tensors(trajs, (trajs[0].n_samples - 1,))])
+    rv = r_v_operator_many(spec, pts)
+    values = np.einsum("bij,bji->b", u0, u0) + np.trace(rv, axis1=-2, axis2=-1)
+    assert res.n_samples == n
+    assert res.values.tobytes() == values.tobytes()
+    assert res.estimate == float(np.mean(values))
 
 
 def test_riccati_average_rejects_nongeodesic_verticals():
