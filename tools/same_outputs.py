@@ -40,6 +40,9 @@ _SLANTED = "kind: Warped\neps: 0.1\nq0_x: 0.1\nq0_y: 0.9\nv0_x: 0.3\nv0_y: 0.2\n
 # (label, subcommand, config text, H2XR_WORKERS)
 JOBS = [
     ("jacobi-warped-central", "jacobi", _CENTRAL + "T: 10\n", 1),
+    # the centre of eps = 0.4: a second kappa, with two conjugate points by T = 10
+    ("jacobi-warped-central-eps04", "jacobi",
+     "kind: Warped\neps: 0.4\nv0_x: 0\nv0_t: 1\nT: 10\n", 1),
     ("jacobi-warped-slanted", "jacobi", _SLANTED + "T: 8\n", 1),
     # vertical rows on orbits of d_t off the centre: outside the warp ball
     # (phi == 1) and on Twisted with alpha = 0; both are filled after one step
@@ -78,6 +81,9 @@ JOBS = [
     ("riccati-average-product", "riccati-average", "kind: Product\nN: 8\nanchor: 3\n", 1),
     ("riccati-average-warped-point", "riccati-average",
      "kind: Warped\neps: 0.1\nsampler: point\nN: 4\nanchor: 3\n", 1),
+    # vertical rows outside the warp ball, each an orbit of d_t
+    ("riccati-average-warped-outside", "riccati-average",
+     "kind: Warped\neps: 0.1\nbox_x0: 3\nbox_x1: 5\nN: 4\nanchor: 20\nstep: 0.01\n", 1),
     *((f"scan-{name}-w{w}", "scan-conjugate", text, w)
       for name, text in (
           ("product", "kind: Product\ncount: 40\nTmax: 20\n"),
