@@ -308,12 +308,11 @@ _LONE_STEP = {_pair_rhs: _pair_step, _riccati_rhs: _riccati_step}
 def _scalar_nodes(traj: Trajectory):
     """kappa at a step's three nodes if a lone row has R_perp = kappa I at every node, else None.
 
-    The row's samples must hold one state but for q_t, by their bits.  R_perp
-    and the flow derivative do not read q_t, so every sample node then has
-    the R_perp of sample 0 and every midpoint node that of midpoint 0
-    ((h/8)(f_k - f_{k+1}) is +0.0 for any h > 0): the three nodes of the
-    first step are those of every step.  Each must be kappa I with kappa
-    finite, its off-diagonals +-0 and its diagonal entries of equal bits.
+    The row's samples must hold one state but for q_t, by their bits; then
+    every sample node has the R_perp of sample 0 and every midpoint node
+    that of midpoint 0, as (h/8)(f_k - f_{k+1}) is +0.0 for any h > 0.
+    Each of the first step's nodes must be kappa I: kappa finite, the
+    off-diagonals +-0 and the diagonal entries of equal bits.
     """
     bits = traj.states.view(np.uint64)
     if len(bits) < 2 or not ((bits[:, :2] == bits[0, :2]).all()
@@ -328,15 +327,10 @@ def _scalar_nodes(traj: Trajectory):
 
 
 def _scalar_march(times, nodes, a, p):
-    """(A, A') of _march on _pair_rhs from A = a I, A' = p I, when R_perp = r I at all nodes.
+    """(A, A') of _march on _pair_rhs from (a I, p I), R_perp = r I with r = nodes at every step.
 
-    nodes are r at a step's three nodes, the same for every step
-    (_scalar_nodes).  Each step is _pair_step's diagonal, its stages in
-    their order: its term m01 a10 is a signed zero, which leaves
-    (m00 a00 + 0.0) + m01 a10 equal to m a + 0.0, and its stage sums start
-    at -0.0 + 1.0 x, which is x.  The off-diagonals come out +0.0, as
-    _pair_step leaves them for h > 0 while every value stays finite; if
-    one does not, None.
+    Each step is _pair_step's diagonal in its stage order; its stage sums
+    start at -0.0 + 1.0 x, written x.  None if a value overflows.
     """
     r0, r1, r2 = nodes
     ap = [(a, p)]
