@@ -5,7 +5,8 @@
 OLD_SRC and NEW_SRC are the `src` directories of two checkouts, e.g. a
 `git archive` of the parent commit and the working tree.  Every job of
 JOBS runs once per tree as `python -m h2xr.cli` in a fresh process, with
-PYTHONPATH set to that tree and the job's H2XR_WORKERS.  The scans run at
+PYTHONPATH set to that tree and the job's H2XR_WORKERS, in a directory
+that holds its config and its input files.  The scans run at
 one and at two workers.  One line is printed per job; a CSV that differs
 also gets its largest absolute change over the numeric cells the two
 trees share and its largest change relative to a column's magnitude,
@@ -37,7 +38,10 @@ from pathlib import Path
 _CENTRAL = "kind: Warped\neps: 0.1\nv0_x: 0\nv0_t: 1\n"
 _SLANTED = "kind: Warped\neps: 0.1\nq0_x: 0.1\nq0_y: 0.9\nv0_x: 0.3\nv0_y: 0.2\nv0_t: 1\n"
 
-# (label, subcommand, config text, H2XR_WORKERS)
+_GENS = "1.2 0.3 0.1 0.8583333333333334\n2.0 1.0 1.0 1.0\n"
+_FOUR_GENS = "2 1 1 1\n3 1 5 2\n1 2 1 3\n5 2 2 1\n"
+
+# (label, subcommand, config text, H2XR_WORKERS[, {input file name: text}])
 JOBS = [
     ("jacobi-warped-central", "jacobi", _CENTRAL + "T: 10\n", 1),
     # the centre of eps = 0.4: a second kappa, with two conjugate points by T = 10
@@ -104,20 +108,31 @@ JOBS = [
     # busemann_checks.csv prints the Hessian entries of the Busemann limit
     ("busemann-product", "busemann", "kind: Product\nL: 2\nq0_x: 0.3\nq0_y: 1.4\nq0_t: 0.7\n", 1),
     ("isoperimetric-default", "isoperimetric", "", 1),
+    ("spectrum", "spectrum", "sigma_file: sigma.txt\ncutoff: 5\n", 1,
+     {"sigma.txt": "0\n0.25\n1.7\n"}),
+    ("length-spectrum-w6", "length-spectrum",
+     "generators_file: gens.txt\nmax_word: 6\nn_max: 1\n", 1, {"gens.txt": _GENS}),
+    ("length-spectrum-four-w5", "length-spectrum",
+     "generators_file: gens.txt\nmax_word: 5\nn_max: 2\n", 1, {"gens.txt": _FOUR_GENS}),
+    ("length-spectrum-w8", "length-spectrum",
+     "generators_file: gens.txt\nmax_word: 8\n", 1, {"gens.txt": _GENS}),
     ("volume-growth-default", "volume-growth", "", 1),
 ]
 
 
-def run_job(src: Path, workdir: Path, subcommand: str, config: str, workers: int):
+def run_job(src: Path, workdir: Path, subcommand: str, config: str, workers: int,
+            inputs: dict):
     """Run one job against src; returns (exit code, stderr, {csv name: bytes})."""
     workdir.mkdir(parents=True)
+    for name, text in inputs.items():
+        (workdir / name).write_text(text, encoding="utf-8")
     cfg = workdir / "job.cfg"
     cfg.write_text(config, encoding="utf-8")
     out = workdir / "out"
     env = dict(os.environ, PYTHONPATH=str(src), H2XR_WORKERS=str(workers))
     proc = subprocess.run(
         [sys.executable, "-m", "h2xr.cli", subcommand, "--config", str(cfg), "--out", str(out)],
-        env=env, capture_output=True, text=True,
+        env=env, capture_output=True, text=True, cwd=workdir,
     )
     csvs = {p.name: p.read_bytes() for p in out.glob("*.csv")} if out.is_dir() else {}
     return proc.returncode, proc.stderr.strip(), csvs
@@ -180,8 +195,9 @@ def main(argv) -> int:
             return 2
     failed = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for label, subcommand, config, workers in JOBS:
-            old, new = (run_job(tree, Path(tmp) / side / label, subcommand, config, workers)
+        for label, subcommand, config, workers, *inputs in JOBS:
+            old, new = (run_job(tree, Path(tmp) / side / label, subcommand, config, workers,
+                                dict(*inputs))
                         for side, tree in zip(("old", "new"), trees))
             problems = compare(old, new)
             failed += bool(problems)
