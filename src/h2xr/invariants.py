@@ -9,6 +9,7 @@ functional, and the moduli dimension count.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -137,27 +138,7 @@ def mls_length(ell_sigma: float, n: int, L: float) -> float:
     return math.hypot(ell_sigma, n * L)
 
 
-def _reduced_words(n_gens: int, max_word: int):
-    """All reduced words as tuples of symbol ids; id ^ 1 is the inverse."""
-    out = []
-    stack = [()]
-    while stack:
-        word = stack.pop()
-        if word:
-            out.append(word)
-        if len(word) == max_word:
-            continue
-        for s in range(2 * n_gens):
-            if word and word[-1] == s ^ 1:
-                continue
-            stack.append(word + (s,))
-    out.sort(key=lambda w: (len(w), w))
-    return out
-
-
-def _word_label(word, n_gens: int) -> str:
-    if not word:
-        return "e"
+def _word_label(word) -> str:
     letters = []
     for s in word:
         base = chr(ord("a") + s // 2)
@@ -165,62 +146,64 @@ def _word_label(word, n_gens: int) -> str:
     return "".join(letters)
 
 
+def _words(symbols, length: int):
+    """(word, product) of every reduced word of this length, in lexicographic order.
+
+    Words are tuples of symbol ids (id ^ 1 is the inverse).  A word's
+    product is its prefix's product composed with its last symbol: the
+    left-to-right fold from the first letter, with the same floats.
+    """
+    if length == 1:
+        yield from (((s,), m) for s, m in enumerate(symbols))
+        return
+    for word, prefix in _words(symbols, length - 1):
+        for s, m in enumerate(symbols):
+            if s != word[-1] ^ 1:
+                yield word + (s,), prefix.compose(m)
+
+
 def enumerate_length_spectrum(generators, max_word: int, L: float, n_max: int):
     """LengthEntry list over reduced words up to max_word and |n| <= n_max.
 
     Hyperbolic words contribute one entry per fiber winding n; the
-    identity class contributes the pure fiber classes.  Entries are
-    deduplicated by (|trace|, n) within DEDUP_TOL, a conjugacy-class
-    proxy (trace is a class function, though not injective), and sorted
-    by total length.
+    identity class contributes the pure fiber classes.  Words are taken
+    by length, then lexicographically, and an entry is dropped when its
+    |trace| lies within DEDUP_TOL of a key already kept for its n, a
+    conjugacy-class proxy (trace is a class function, though not
+    injective).  Entries are sorted by total length.
     """
     if not (0 <= max_word <= MAX_WORD_LENGTH):
         raise DomainError(f"max_word must be in [0, {MAX_WORD_LENGTH}], got {max_word}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     _positive("fiber length", L)
-    gens = list(generators)
-    mats = []
-    for g in gens:
+    symbols = []
+    for g in generators:
         if not isinstance(g, MobiusElement):
             g = MobiusElement(*g)
-        mats.append(g)
-    symbols = []
-    for m in mats:
-        symbols.append(m)
-        symbols.append(m.inverse())
+        symbols += [g, g.inverse()]
 
-    entries = []
-    seen = []  # (|trace|, n) accepted keys, for tolerance dedup
-
-    def accept(key) -> bool:
-        tr, n = key
-        for tr0, n0 in seen:
-            if n0 == n and abs(tr0 - tr) <= DEDUP_TOL:
-                return False
-        seen.append(key)
-        return True
-
-    for n in range(-n_max, n_max + 1):
-        if n == 0:
-            continue
-        if accept((2.0, n)):
-            entries.append(LengthEntry("e", 2.0, 0.0, n, mls_length(0.0, n, L)))
-
-    for word in _reduced_words(len(gens), max_word):
-        m = symbols[word[0]]
-        for s in word[1:]:
-            m = m.compose(symbols[s])
-        tr = m.trace
-        if abs(tr) <= 2.0 + HYPERBOLIC_TRACE_MARGIN:
-            continue  # elliptic/parabolic/identity word: no geodesic length
-        ell_sigma = translation_length(m)
-        label = _word_label(word, len(gens))
-        for n in range(-n_max, n_max + 1):
-            if accept((abs(tr), n)):
-                entries.append(
-                    LengthEntry(label, tr, ell_sigma, n, mls_length(ell_sigma, n, L))
-                )
+    windings = range(-n_max, n_max + 1)
+    # the kept |trace| keys of each winding, sorted, so that the keys
+    # closest to a candidate are its two neighbours; the identity comes first
+    kept = {n: [] if n == 0 else [2.0] for n in windings}
+    entries = [LengthEntry("e", 2.0, 0.0, n, mls_length(0.0, n, L)) for n in windings if n]
+    for length in range(1, max_word + 1):
+        for word, m in _words(symbols, length):
+            tr = m.trace
+            if abs(tr) <= 2.0 + HYPERBOLIC_TRACE_MARGIN:
+                continue  # elliptic/parabolic/identity word: no geodesic length
+            ell_sigma = translation_length(m)
+            key = abs(tr)
+            for n in windings:
+                keys = kept[n]
+                i = bisect.bisect_left(keys, key)
+                if (i > 0 and key - keys[i - 1] <= DEDUP_TOL) or (
+                        i < len(keys) and keys[i] - key <= DEDUP_TOL):
+                    continue
+                keys.insert(i, key)
+                entries.append(LengthEntry(_word_label(word), tr, ell_sigma, n,
+                                           mls_length(ell_sigma, n, L)))
     entries.sort(key=lambda e: (e.ell, e.n, e.word))
     return entries
 

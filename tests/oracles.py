@@ -3,7 +3,10 @@
 import numpy as np
 
 from h2xr.asymptotics import ProductPoint
+from h2xr.errors import DomainError
 from h2xr.geodesics import Trajectory
+from h2xr.hyperbolic import HYPERBOLIC_TRACE_MARGIN, MobiusElement, translation_length
+from h2xr.invariants import DEDUP_TOL, MAX_WORD_LENGTH, LengthEntry, mls_length
 from h2xr.jacobi import _anchor_index, _half_grid_rperp, _march, _pair_rhs
 from h2xr.metrics import (ChartPoint, MetricSpec, christoffel_many, curvature_tensor_many,
                           metric_many)
@@ -60,3 +63,55 @@ def busemann_hessian_christoffel(L: float, x: ProductPoint) -> np.ndarray:
     grad = np.array([0.0, 0.0, -L])
     gam = christoffel_many(MetricSpec.product(L), x.chart().as_array()[None, :])[0]
     return 0.0 - np.einsum("kij,k->ij", gam, grad)
+
+
+def length_spectrum_by_word_list(generators, max_word: int, L: float, n_max: int):
+    """enumerate_length_spectrum the long way round.
+
+    Every reduced word is listed and sorted by (length, word), multiplied
+    out from its first letter, and its (|trace|, n) keys are checked
+    against every key kept so far.
+    """
+    if not (0 <= max_word <= MAX_WORD_LENGTH):
+        raise DomainError(f"max_word must be in [0, {MAX_WORD_LENGTH}], got {max_word}")
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if not (L > 0.0 and L < float("inf")):
+        raise DomainError(f"fiber length must be > 0, got {L}")
+    mats = [g if isinstance(g, MobiusElement) else MobiusElement(*g) for g in generators]
+    symbols = [x for m in mats for x in (m, m.inverse())]
+
+    words, stack = [], [()]
+    while stack:
+        word = stack.pop()
+        if word:
+            words.append(word)
+        if len(word) < max_word:
+            stack += [word + (s,) for s in range(len(symbols)) if not (word and word[-1] == s ^ 1)]
+    words.sort(key=lambda w: (len(w), w))
+
+    entries, seen = [], []
+
+    def accept(tr, n) -> bool:
+        if any(n0 == n and abs(tr0 - tr) <= DEDUP_TOL for tr0, n0 in seen):
+            return False
+        seen.append((tr, n))
+        return True
+
+    for n in range(-n_max, n_max + 1):
+        if n != 0 and accept(2.0, n):
+            entries.append(LengthEntry("e", 2.0, 0.0, n, mls_length(0.0, n, L)))
+    for word in words:
+        m = symbols[word[0]]
+        for s in word[1:]:
+            m = m.compose(symbols[s])
+        tr = m.trace
+        if abs(tr) <= 2.0 + HYPERBOLIC_TRACE_MARGIN:
+            continue
+        ell_sigma = translation_length(m)
+        label = "".join(chr(ord("A" if s % 2 else "a") + s // 2) for s in word)
+        for n in range(-n_max, n_max + 1):
+            if accept(abs(tr), n):
+                entries.append(LengthEntry(label, tr, ell_sigma, n, mls_length(ell_sigma, n, L)))
+    entries.sort(key=lambda e: (e.ell, e.n, e.word))
+    return entries

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from h2xr.errors import DomainError, NumericsError
 from h2xr.hyperbolic import MobiusElement, translation_length
@@ -20,6 +21,7 @@ from h2xr.invariants import (
     spectral_gap,
     tube_profiles,
 )
+from oracles import length_spectrum_by_word_list
 
 # frozen direct arithmetic on the displayed formulas
 ISO_BOUND_1_1 = 5.112019290722439         # 2 pi sqrt(2/pi + 1/(4 pi^2))
@@ -140,6 +142,25 @@ def test_enumerate_guards():
         enumerate_length_spectrum([], max_word=9, L=1.0, n_max=1)
     with pytest.raises(DomainError):
         enumerate_length_spectrum([], max_word=2, L=-1.0, n_max=1)
+
+
+_ENTRY = st.floats(-3.0, 3.0)
+# (a, b, c, (1 + b c) / a): unimodular up to rounding, which the constructor may still reject
+_GENERATOR = st.tuples(st.floats(0.25, 3.0) | st.floats(-3.0, -0.25), _ENTRY, _ENTRY).map(
+    lambda abc: (*abc, (1.0 + abc[1] * abc[2]) / abc[0]))
+
+
+@given(st.lists(_GENERATOR, max_size=3), st.integers(0, 4), st.floats(0.1, 10.0),
+       st.integers(0, 2))
+def test_enumeration_matches_the_word_list_oracle(gens, max_word, L, n_max):
+    def run(enumerate_):
+        try:
+            entries = enumerate_(gens, max_word, L, n_max)
+        except DomainError as exc:
+            return str(exc)
+        return [(e.word, e.trace.hex(), e.ell_sigma.hex(), e.n, e.ell.hex()) for e in entries]
+
+    assert run(enumerate_length_spectrum) == run(length_spectrum_by_word_list)
 
 
 def test_isoperimetric_bound_values():
