@@ -7,7 +7,7 @@ closed form; the numerical modules treat these functions as ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .errors import DomainError
 
@@ -37,16 +37,22 @@ class HPoint:
 
 @dataclass(frozen=True)
 class MobiusElement:
-    """Real unimodular 2x2 matrix acting on the upper half-plane."""
+    """Real unimodular 2x2 matrix acting on the upper half-plane.
+
+    The constructor checks |det - 1| <= UNIMODULAR_TOL.  Products and
+    inverses skip the check (checked=False): their factors passed it, and
+    the rounding of a long product moves det by more than the tolerance.
+    """
 
     a: float
     b: float
     c: float
     d: float
+    checked: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         det = self.a * self.d - self.b * self.c
-        if not math.isfinite(det) or abs(det - 1.0) > UNIMODULAR_TOL:
+        if checked and (not math.isfinite(det) or abs(det - 1.0) > UNIMODULAR_TOL):
             raise DomainError(f"matrix is not unimodular: det = {det}")
 
     @property
@@ -59,10 +65,11 @@ class MobiusElement:
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
+            checked=False,
         )
 
     def inverse(self) -> "MobiusElement":
-        return MobiusElement(self.d, -self.b, -self.c, self.a)
+        return MobiusElement(self.d, -self.b, -self.c, self.a, checked=False)
 
     @classmethod
     def identity(cls) -> "MobiusElement":
@@ -76,7 +83,10 @@ def arccosh_1p(u: float) -> float:
             u = 0.0
         else:
             raise DomainError(f"arccosh argument below 1: 1 + {u}")
-    return math.log1p(u + math.sqrt(u * (u + 2.0)))
+    root = math.sqrt(u * (u + 2.0))
+    if root == math.inf:   # u above ~1.3e154: u (u + 2) overflows, its square roots do not
+        root = math.sqrt(u) * math.sqrt(u + 2.0)
+    return math.log1p(u + root)
 
 
 def hyp_distance(p: HPoint, q: HPoint) -> float:

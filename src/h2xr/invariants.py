@@ -191,6 +191,9 @@ def enumerate_length_spectrum(generators, max_word: int, L: float, n_max: int):
     for length in range(1, max_word + 1):
         for word, m in _words(symbols, length):
             tr = m.trace
+            if not (math.isfinite(tr) and math.isfinite(m.b) and math.isfinite(m.c)):
+                raise NumericsError(f"product of word {_word_label(word)} is not finite: "
+                                    f"({m.a}, {m.b}, {m.c}, {m.d})")
             if abs(tr) <= 2.0 + HYPERBOLIC_TRACE_MARGIN:
                 continue  # elliptic/parabolic/identity word: no geodesic length
             ell_sigma = translation_length(m)

@@ -279,6 +279,29 @@ def test_length_spectrum_run_and_header_only(tmp_path):
     assert (out2 / "length_spectrum.csv").read_text() == "word,trace,ell_sigma,n,ell\n"
 
 
+def test_length_spectrum_products_are_not_revalidated(tmp_path, capsys):
+    # rounding moves det of GENS's length-7 products past 1e-12; each generator passes
+    gens = write(tmp_path, "gens.txt", GENS)
+    cfg = write(tmp_path, "ls.cfg", f"generators_file: {gens}\nmax_word: 8\n")
+    assert main(["length-spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+    bad = write(tmp_path, "bad.txt", "1.001 0 0 1\n")
+    cfg = write(tmp_path, "bad.cfg", f"generators_file: {bad}\nmax_word: 2\n")
+    assert main(["length-spectrum", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 2
+    assert capsys.readouterr().err == "h2xr: validation error: matrix is not unimodular: det = 1.001\n"
+
+
+def test_length_spectrum_overflowing_product_exits_3(tmp_path, capsys):
+    # 1e40^8 leaves the float range at the first word of length 8
+    gens = write(tmp_path, "big.txt", "1e40 0 0 1e-40\n")
+    cfg = write(tmp_path, "big.cfg", f"generators_file: {gens}\nmax_word: 8\n")
+    out = tmp_path / "o"
+    assert main(["length-spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "product of word aaaaaaaa is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_isoperimetric_run_fast(tmp_path):
     import time
 

@@ -145,6 +145,26 @@ def test_mobius_rejects_nonunimodular():
         MobiusElement(2.0, 0.0, 0.0, 1.0)
 
 
+def test_products_and_inverses_skip_the_unimodular_check():
+    g = MobiusElement(1.2, 0.3, 0.1, 0.8583333333333334).inverse()
+    h = MobiusElement(2.0, 1.0, 1.0, 1.0).inverse()
+    m = g.compose(g)
+    for _ in range(5):
+        m = m.compose(h)
+    # the word g^-2 h^-5: rounding moves det past the tolerance every factor met
+    assert m.a * m.d - m.b * m.c - 1.0 == 1.8189894035458565e-12
+    with pytest.raises(DomainError, match="not unimodular: det = 1.001"):
+        MobiusElement(1.001, 0.0, 0.0, 1.0)
+
+
+def test_arccosh_past_the_square_range():
+    # u (u + 2) overflows above u ~ 1.3e154; the lengths are 2 ln(1e100) and ln(1e200)
+    m = MobiusElement(1e100, 0.0, 0.0, 1e-100)
+    assert translation_length(m) == pytest.approx(200.0 * math.log(10.0), rel=1e-15)
+    d = hyp_distance(HPoint(0.0, 1e-100), HPoint(0.0, 1e100))
+    assert d == pytest.approx(200.0 * math.log(10.0), rel=1e-15)
+
+
 def test_mobius_point_to_infinity():
     m = MobiusElement(0.0, 1.0, -1.0, 0.0)  # z -> -1/z, pole at 0... on boundary
     # a genuine interior pole needs cz + d = 0 with Im z > 0: impossible for
