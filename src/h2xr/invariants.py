@@ -26,6 +26,7 @@ from .metrics import MetricSpec, _r_v, fiber
 MAX_WORD_LENGTH = 8
 DEDUP_TOL = 1e-9
 SPECTRUM_MAX_MODES = 1_000_000   # product_spectrum's limit: 10^6 modes take ~3 s, a 20 MB CSV
+MAX_REDUCED_WORDS = 10 ** 7      # enumerate_length_spectrum's limit: 4 generators at max_word 8
 
 
 def _positive(name: str, value: float) -> None:
@@ -170,7 +171,9 @@ def enumerate_length_spectrum(generators, max_word: int, L: float, n_max: int):
     by length, then lexicographically, and an entry is dropped when its
     |trace| lies within DEDUP_TOL of a key already kept for its n, a
     conjugacy-class proxy (trace is a class function, though not
-    injective).  Entries are sorted by total length.
+    injective).  Entries are sorted by total length.  More than
+    MAX_REDUCED_WORDS reduced words is a DomainError, and a word whose
+    product leaves the float range is a NumericsError.
     """
     if not (0 <= max_word <= MAX_WORD_LENGTH):
         raise DomainError(f"max_word must be in [0, {MAX_WORD_LENGTH}], got {max_word}")
@@ -182,6 +185,11 @@ def enumerate_length_spectrum(generators, max_word: int, L: float, n_max: int):
         if not isinstance(g, MobiusElement):
             g = MobiusElement(*g)
         symbols += [g, g.inverse()]
+    k = len(symbols)
+    count = sum(k * (k - 1) ** (length - 1) for length in range(1, max_word + 1))
+    if count > MAX_REDUCED_WORDS:
+        raise DomainError(f"{k // 2} generators at max_word {max_word} give {count} "
+                          f"reduced words, over {MAX_REDUCED_WORDS}")
 
     windings = range(-n_max, n_max + 1)
     # the kept |trace| keys of each winding, sorted, so that the keys

@@ -263,6 +263,18 @@ def test_spectrum_over_the_mode_limit_exits_2_before_enumerating(tmp_path, capsy
     assert invariants.SPECTRUM_MAX_MODES == 1_000_000
 
 
+def test_length_spectrum_over_the_word_limit_exits_2_before_enumerating(tmp_path, capsys):
+    # 5 generators: sum of 10 * 9^(l - 1) over l = 1..8 reduced words
+    gens = write(tmp_path, "gens.txt", "2 1 1 1\n" * 5)
+    cfg = write(tmp_path, "ls.cfg", f"generators_file: {gens}\nmax_word: 8\n")
+    out = tmp_path / "out"
+    assert main(["length-spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "5 generators at max_word 8 give 53808400 reduced words, over 10000000" in err
+    assert not out.exists()
+    assert invariants.MAX_REDUCED_WORDS == 10 ** 7
+
+
 def test_length_spectrum_run_and_header_only(tmp_path):
     gens = write(tmp_path, "gens.txt", GENS)
     cfg = write(tmp_path, "ls.cfg", f"job: length-spectrum\ngenerators_file: {gens}\nmax_word: 2\nn_max: 1\n")

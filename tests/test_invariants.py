@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from h2xr import invariants
 from h2xr.errors import DomainError, NumericsError
 from h2xr.hyperbolic import MobiusElement, translation_length
 from h2xr.metrics import MetricSpec
@@ -142,6 +143,15 @@ def test_enumerate_guards():
         enumerate_length_spectrum([], max_word=9, L=1.0, n_max=1)
     with pytest.raises(DomainError):
         enumerate_length_spectrum([], max_word=2, L=-1.0, n_max=1)
+
+
+def test_enumerate_word_limit_counts_reduced_words(monkeypatch):
+    # one generator has 2 reduced words of each length
+    monkeypatch.setattr(invariants, "MAX_REDUCED_WORDS", 6)
+    g = MobiusElement(math.e, 0.0, 0.0, 1.0 / math.e)
+    assert len(enumerate_length_spectrum([g], max_word=3, L=1.0, n_max=0)) == 3
+    with pytest.raises(DomainError, match="1 generators at max_word 4 give 8 reduced words, over 6"):
+        enumerate_length_spectrum([g], max_word=4, L=1.0, n_max=0)
 
 
 _ENTRY = st.floats(-3.0, 3.0)
