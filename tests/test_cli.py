@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import h2xr
 from h2xr import invariants
-from h2xr.cli import main
+from h2xr.cli import _numpy_cpu_dispatch, main
 from h2xr.config import build_config, load_config
 from h2xr.errors import DomainError
 
@@ -149,6 +153,31 @@ def test_product_only_jobs_reject_other_kinds(tmp_path, capsys, job):
     err = capsys.readouterr().err
     assert job in err and "Product" in err
     assert not out.exists()
+
+
+def test_twisted_jacobi_bytes_do_not_follow_numpy_cpu_dispatch(tmp_path):
+    # one job run with numpy's dispatched loops and once on its baseline loops,
+    # both on one OpenBLAS kernel: a transcendental ufunc on this path would split them
+    targets = _numpy_cpu_dispatch()
+    if not targets:
+        pytest.skip("numpy dispatches no CPU target beyond its baseline on this host")
+    cfg = write(tmp_path, "j.cfg", "kind: Twisted\npotential: x\nalpha: 0.05\n"
+                                   "v0_x: 1\nv0_y: 0.3\nv0_t: 0.5\nT: 1\n")
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env.update(OPENBLAS_CORETYPE="Nehalem", PYTHONPATH=str(Path(h2xr.__file__).parents[1]))
+    outputs = []
+    for leg, extra in (("dispatch", {}), ("baseline", {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})):
+        out = tmp_path / leg
+        proc = subprocess.run(
+            [sys.executable, "-m", "h2xr.cli", "jacobi", "--config", str(cfg), "--out", str(out)],
+            env={**env, **extra}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs.append(((out / "jacobi.csv").read_bytes(), manifest["versions"]["numpy_cpu_dispatch"]))
+    (csv_a, dispatch_a), (csv_b, dispatch_b) = outputs
+    assert dispatch_a == targets and dispatch_b == []
+    assert csv_a == csv_b
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
