@@ -6,7 +6,7 @@ from h2xr.asymptotics import ProductPoint
 from h2xr.errors import DomainError
 from h2xr.geodesics import Trajectory
 from h2xr.hyperbolic import HYPERBOLIC_TRACE_MARGIN, MobiusElement, translation_length
-from h2xr.invariants import DEDUP_TOL, MAX_WORD_LENGTH, LengthEntry, mls_length
+from h2xr.invariants import DEDUP_TOL, MAX_WORD_LENGTH, LengthEntry, _positive, mls_length
 from h2xr.jacobi import _anchor_index, _half_grid_rperp, _march, _pair_rhs
 from h2xr.metrics import (ChartPoint, MetricSpec, christoffel_many, curvature_tensor_many,
                           metric_many)
@@ -76,8 +76,7 @@ def length_spectrum_by_word_list(generators, max_word: int, L: float, n_max: int
         raise DomainError(f"max_word must be in [0, {MAX_WORD_LENGTH}], got {max_word}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if not (L > 0.0 and L < float("inf")):
-        raise DomainError(f"fiber length must be > 0, got {L}")
+    _positive("fiber length", L)
     mats = [g if isinstance(g, MobiusElement) else MobiusElement(*g) for g in generators]
     symbols = [x for m in mats for x in (m, m.inverse())]
 
